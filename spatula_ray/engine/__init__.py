@@ -3,12 +3,13 @@
 Execution model (SURVEY.md §3.1 engine equivalent):
 
     seed rows -> per-wave loop {
-        map_batches(PageRunner actor pool)   # fetch + parse + extract, fused
+        map_batches(PageRunner tasks)        # fetch + parse + extract, fused
           -> emit rows   (docs table, written per wave partition)
           -> page rows   (fetch log / lineage)
           -> expand rows (frontier candidates)
         expand rows -> sharded URL-seen filter (cuckoo/exact, deterministic
-                       min-order winner per canonical URL)
+                       min-order winner per canonical URL; shards held by
+                       the crawl's state-host actors)
                     -> next wave frontier
     } until frontier empty
 

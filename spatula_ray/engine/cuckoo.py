@@ -1,7 +1,9 @@
-"""Cuckoo-filter URL-seen set, sharded across actors by ``url_hash``.
+"""Cuckoo-filter URL-seen set, sharded by ``url_hash``.
 
-Design (SURVEY.md §2.7 D3 / §4.3): N shard actors, shard = ``url_hash % N``;
-the frontier-expansion stage batches candidate hashes to the owning shard.
+Design (SURVEY.md §2.7 D3 / §4.3): N logical shards, shard =
+``url_hash % N``, held as plain objects on the crawl's state-host actors
+(:mod:`.statehost`); the frontier-expansion stage batches candidate hashes
+to the owning shard, one RPC per host.
 Dedup must be *deterministic* under parallel execution, so each wave runs a
 two-phase protocol per shard:
 
@@ -139,7 +141,7 @@ class CuckooFilter:
 
 
 class SeenFilterShard:
-    """One shard of the URL-seen set (wrapped in ray.remote by the driver).
+    """One logical shard of the URL-seen set (held by a state host).
 
     mode="cuckoo": approximate membership w/ exact per-wave winner maps.
     mode="exact": python-set shadow for conformance testing.

@@ -10,12 +10,17 @@ Each wave is one Ray Data pipeline over the current frontier:
              -> next frontier
 
 The page-runner stage runs as stateless Ray Data tasks with a per-worker
-runner cache (client/registry built once per worker process, reused across
-waves — same amortization as an actor pool without paying pool re-creation
-every wave; ``use_actors=True`` switches to a literal actor pool).
-Long-lived state (URL-seen shards, host gates) lives in dedicated
-``num_cpus=0`` actors that survive across waves and snapshot to the
-checkpoint.
+runner cache (client/registry built once per worker process and crawl,
+reused across waves — the amortization of an actor pool without paying
+pool re-creation every wave).
+Long-lived state (URL-seen shards, host gates, priority shards and the
+current wave's candidate blocks) lives in ``num_cpus=0`` state-host actors
+that survive across waves and snapshot to the checkpoint: each logical
+shard keeps its fixed key routing and is placed on host
+``shard % n_hosts``, with ``n_hosts = min(max(n_filter_shards, n_gates,
+1), cluster CPUs)`` (see :mod:`.statehost`). Every per-shard fan-out costs
+one RPC per host, and a small session starts one state process per crawl
+instead of one per shard.
 
 Scale notes: the frontier never lives on the driver — it stays a
 (materialized) Dataset of Arrow blocks in the object store between waves;
@@ -28,11 +33,12 @@ work; other hosts proceed unaffected.
 from __future__ import annotations
 
 import json
+import logging
 import os
 import time
 import uuid
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence
 
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -40,6 +46,7 @@ import pyarrow.compute as pc
 from ..model import Page
 from .cuckoo import SeenFilterShard
 from .hostgate import HostGate
+from . import priority
 from .pagerun import PageRunner, frontier_row_from_page
 from .schema import (
     DOCS_SCHEMA,
@@ -51,6 +58,9 @@ from .schema import (
     UNION_SCHEMA,
     rows_to_table,
 )
+from .statehost import FILTER, GATE, PRIO, StateHost, StateHosts
+
+log = logging.getLogger(__name__)
 
 # per-worker-process runner cache (see module docstring)
 _RUNNER_CACHE: Dict[str, PageRunner] = {}
@@ -87,36 +97,14 @@ def _project(schema: pa.Schema):
     return fn
 
 
-
-class _CandSink:
-    """``num_cpus=0`` actor owning the CURRENT wave's candidate blocks
-    (narrow CAND_SCHEMA rows parked by the runners — round-5 election
-    fuse). Keyed add: a retried runner task re-parks under its own
-    deterministic key and REPLACES its block, so task retry cannot
-    duplicate candidates (the winner election would admit both copies)."""
-
-    def __init__(self):
-        self._blocks: dict = {}
-
-    def add(self, key, refs: list, n: int) -> None:
-        self._blocks[key] = (refs, n)
-
-    def drain(self):
-        blocks, self._blocks = self._blocks, {}
-        refs = [r for (rs, _) in blocks.values() for r in rs]
-        return refs, sum(n for _, n in blocks.values())
-
-
-def _winner_filter(batch: pa.Table, shard_handles: list) -> pa.Table:
+def _winner_filter(batch: pa.Table, state: StateHosts) -> pa.Table:
     """Winner filter: keep pre-admitted rows, null-source rows, and
     min-order winners for the sealed wave. Module-level (not a crawl()
-    closure) so the raw-task election ships only the shard handles."""
+    closure) so the raw-task election ships only the state-host table."""
     import numpy as np
-    import ray
 
-    if not shard_handles:
+    if not state.n(FILTER):
         return batch
-    n_shards = len(shard_handles)
     keep = np.ones(batch.num_rows, dtype=bool)
     pre = batch["pre_admitted"].combine_chunks().fill_null(False) \
         .to_numpy(zero_copy_only=False)
@@ -128,15 +116,12 @@ def _winner_filter(batch: pa.Table, shard_handles: list) -> pa.Table:
     ask = np.nonzero(~pre & has_url)[0]
     if not len(ask):
         return batch
-    shard_of = (hashes[ask] % np.uint64(n_shards)).astype(np.int64)
-    futures, idx_lists = [], []
-    for sh in np.unique(shard_of):
-        idxs = ask[shard_of == sh]
-        futures.append(shard_handles[int(sh)].query.remote(
-            hashes[idxs].tolist(), orders[idxs].tolist()))
-        idx_lists.append(idxs)
-    for idxs, mask in zip(idx_lists, ray.get(futures)):
-        keep[idxs] = np.asarray(mask, dtype=bool)
+    groups = {s: ask[pos] for s, pos in state.split(FILTER, hashes[ask]).items()}
+    masks = state.call(FILTER, "query", {
+        s: (hashes[idxs].tolist(), orders[idxs].tolist())
+        for s, idxs in groups.items()})
+    for s, idxs in groups.items():
+        keep[idxs] = np.asarray(masks[s], dtype=bool)
     return batch.filter(pa.array(keep))
 
 
@@ -157,16 +142,12 @@ def _count_union_block(*tables) -> list:
     return list(out.items())
 
 
-def _offer_block(shard_handles: list, *tables) -> int:
+def _offer_block(state: StateHosts, *tables) -> int:
     """Raw-task offer pass over a group of materialized seed blocks
     (phase 1 of the dedup protocol for rows that never pass through a
     runner). Offers are idempotent per (hash, order) — min is
     associative — so a task retry is harmless. Emits only a count."""
-    import numpy as np
-    import ray
-
     t = pa.concat_tables(tables) if len(tables) > 1 else tables[0]
-    n_shards = len(shard_handles)
     fresh = t.filter(pc.invert(
         t["pre_admitted"].combine_chunks().fill_null(False)))
     urls_present = fresh.filter(pc.not_equal(fresh["url"], ""))
@@ -175,17 +156,13 @@ def _offer_block(shard_handles: list, *tables) -> int:
             zero_copy_only=False)
         orders = urls_present["order_bytes"].combine_chunks() \
             .to_numpy(zero_copy_only=False)
-        shard_of = (hashes % np.uint64(n_shards)).astype(np.int64)
-        ray.get([
-            shard_handles[int(s)].offer.remote(
-                hashes[m].tolist(), orders[m].tolist())
-            for s in np.unique(shard_of)
-            for m in [shard_of == s]
-        ])
+        state.call(FILTER, "offer", {
+            s: (hashes[m].tolist(), orders[m].tolist())
+            for s, m in state.split(FILTER, hashes).items()})
     return t.num_rows
 
 
-def _elect_block(shard_handles: list, *tables):
+def _elect_block(state: StateHosts, *tables):
     """Raw-task winner election over a GROUP of parked candidate blocks
     (round-5: replaces the per-wave Dataset execution — the election is
     embarrassingly parallel over already-materialized blocks, so a bounded
@@ -199,64 +176,46 @@ def _elect_block(shard_handles: list, *tables):
     is no ``_owner`` transfer to race and a task retry replaces its own
     output instead of appending a duplicate park."""
     winners = _winner_filter(
-        pa.concat_tables(tables) if len(tables) > 1 else tables[0],
-        shard_handles)
+        pa.concat_tables(tables) if len(tables) > 1 else tables[0], state)
     return winners.combine_chunks(), winners.num_rows
 
 
-def _priority_route(t: pa.Table, n_shards: int):
-    import numpy as np
-
-    hh = t["host_hash"].combine_chunks().to_numpy(zero_copy_only=False)
-    return (hh % np.uint64(n_shards)).astype(np.int64)
-
-
-def _priority_offer_block(shards: list, *tables) -> int:
+def _priority_offer_block(state: StateHosts, *tables) -> int:
     """Raw-task offer pass for the per-host wave quota: route the narrow
     (host_hash, priority, order_bytes, fetchable) projections to their
     owning :class:`PriorityShard` — the full rows (list/binary payload
     columns) never move. Offers are idempotent per order key, so a task
     retry is harmless. Vectorized routing (round-3 verdict fix #8)."""
-    import numpy as np
-    import ray
-
     t = pa.concat_tables(tables) if len(tables) > 1 else tables[0]
-    shard_of = _priority_route(t, len(shards))
     pri = t["priority"].combine_chunks().to_numpy(zero_copy_only=False)
     orders = t["order_bytes"].combine_chunks().to_numpy(zero_copy_only=False)
     fetchable = pc.not_equal(t["url"], "").combine_chunks() \
         .to_numpy(zero_copy_only=False)
     hh = t["host_hash"].combine_chunks().to_numpy(zero_copy_only=False)
-    ray.get([
-        shards[int(s)].offer.remote(
-            hh[m].tolist(), pri[m].tolist(),
+    state.call(PRIO, "offer", {
+        s: (hh[m].tolist(), pri[m].tolist(),
             orders[m].tolist(), fetchable[m].tolist())
-        for s in np.unique(shard_of)
-        for m in [shard_of == s]
-    ])
+        for s, m in state.split(PRIO, hh).items()})
     return t.num_rows
 
 
-def _priority_admit_block(shards: list, *tables):
+def _priority_admit_block(state: StateHosts, *tables):
     """Raw-task admit pass after the quota seal: split a group of
     frontier blocks into (admitted, deferred) by the sharded defer
     verdicts. Deferred rows are flagged ``pre_admitted`` (already-deduped
     winners bypass re-dedup next wave). Both splits return as task
     outputs — driver-owned refs, no sink ownership transfer."""
     import numpy as np
-    import ray
 
     t = pa.concat_tables(tables) if len(tables) > 1 else tables[0]
-    shard_of = _priority_route(t, len(shards))
     orders = t["order_bytes"].combine_chunks().to_numpy(zero_copy_only=False)
+    groups = state.split(
+        PRIO, t["host_hash"].combine_chunks().to_numpy(zero_copy_only=False))
+    verdicts = state.call(PRIO, "query", {
+        s: (orders[idxs].tolist(),) for s, idxs in groups.items()})
     mask = np.zeros(t.num_rows, dtype=bool)
-    futures, idx_lists = [], []
-    for s in np.unique(shard_of):
-        idxs = np.nonzero(shard_of == s)[0]
-        futures.append(shards[int(s)].query.remote(orders[idxs].tolist()))
-        idx_lists.append(idxs)
-    for idxs, verdicts in zip(idx_lists, ray.get(futures)):
-        mask[idxs] = verdicts
+    for s, idxs in groups.items():
+        mask[idxs] = verdicts[s]
     d = t.filter(pa.array(mask))
     if d.num_rows:
         i = d.schema.get_field_index("pre_admitted")
@@ -266,14 +225,14 @@ def _priority_admit_block(shards: list, *tables):
             (a.num_rows, d.num_rows))
 
 
-def _priority_select(frontier_ds, k: int, shards: list, width: int):
+def _priority_select(frontier_ds, k: int, state: StateHosts, width: int):
     """Deterministic per-host priority queue under a wave quota: keep the
     top-k fetchable rows per host by (priority, order_bytes); the rest
     defer to the next wave. Null-source rows are never deferred.
 
-    The election runs in the sharded :class:`PriorityShard` actors via
-    the same offer / seal / query shape as the URL-seen filter (round-2
-    verdict fix #4). Round-5: both passes are cluster-width raw-task
+    The election runs in the sharded :class:`PriorityShard` instances on
+    the state hosts via the same offer / seal / query shape as the
+    URL-seen filter (round-2 verdict fix #4). Round-5: both passes are cluster-width raw-task
     fan-outs over the frontier's materialized blocks (zero Dataset
     executions; same rationale as :func:`_elect_block`).
 
@@ -289,14 +248,14 @@ def _priority_select(frontier_ds, k: int, shards: list, width: int):
     offer_task = ray.remote(num_cpus=1)(_priority_offer_block)
     n_groups = min(width, len(refs))
     groups = [refs[g::n_groups] for g in range(n_groups)]
-    ray.get([s.begin_wave.remote() for s in shards])
-    ray.get([offer_task.remote(shards, *grp) for grp in groups])
-    n_deferred = sum(ray.get([s.seal.remote(k) for s in shards]))
+    state.each((PRIO,), "begin_wave")
+    ray.get([offer_task.remote(state, *grp) for grp in groups])
+    n_deferred = sum(state.each((PRIO,), "seal", k)[PRIO].values())
     if n_deferred == 0:
         return frontier_ds, 0, [], 0
 
     admit_task = ray.remote(num_cpus=1, num_returns=3)(_priority_admit_block)
-    trips = [admit_task.remote(shards, *grp) for grp in groups]
+    trips = [admit_task.remote(state, *grp) for grp in groups]
     counts = ray.get([c for _, _, c in trips])
     adm_refs = [a for (a, _, _), (na, _) in zip(trips, counts) if na]
     defer_refs = [d for (_, d, _), (_, nd) in zip(trips, counts) if nd]
@@ -315,7 +274,6 @@ class CrawlConfig:
     per_host_wave_quota: Optional[int] = None
     robots: Optional[dict] = None             # host -> {disallow, crawl_delay_ms}
     max_waves: Optional[int] = None
-    concurrency: Optional[Union[int, tuple]] = None   # actor-pool size (use_actors)
     # rows per runner batch. Also the block-size knob for every downstream
     # per-wave pass (narrow/split/candidate/count executions inherit the
     # runner's block count), so it trades Ray task-launch overhead against
@@ -330,7 +288,6 @@ class CrawlConfig:
     error_policy: str = "record"              # "record" | "raise"
     checkpoint_dir: Optional[str] = None
     simulate_latency: bool = False
-    use_actors: bool = False
     runner_num_cpus: float = 1.0
     enforce_crawl_delay: bool = False
     cache_dir: Optional[str] = None           # fastmode response cache
@@ -431,40 +388,60 @@ def _write_json_atomic(path: str, obj: dict) -> None:
     os.replace(tmp, path)
 
 
+def _start_state_hosts(cfg: CrawlConfig, ncpu_total: int) -> StateHosts:
+    """Start the crawl's state hosts and wait until each is alive (a
+    runner's ``ray.put(_owner=host)`` fails with "actor not alive" if it
+    races the async actor launch). The shard classes are read from the
+    module globals now, at crawl time, and shipped to the hosts."""
+    import ray
+
+    specs: dict = {}
+    if cfg.dedup:
+        specs[FILTER] = (SeenFilterShard, cfg.n_filter_shards,
+                         dict(mode=cfg.dedup, capacity=cfg.filter_capacity))
+    if cfg.n_gates:
+        specs[GATE] = (HostGate, cfg.n_gates,
+                       dict(robots=cfg.robots,
+                            per_host_wave_quota=cfg.per_host_wave_quota,
+                            enforce_crawl_delay=cfg.enforce_crawl_delay))
+    if cfg.per_host_wave_quota:
+        specs[PRIO] = (priority.PriorityShard, cfg.n_filter_shards, {})
+    n_hosts = min(max(cfg.n_filter_shards, cfg.n_gates, 1), ncpu_total)
+    t = time.perf_counter()
+    Host = ray.remote(num_cpus=0)(StateHost)
+    handles = [Host.remote(i, n_hosts, specs) for i in range(n_hosts)]
+    ray.get([h.__ray_ready__.remote() for h in handles])
+    log.debug("%d state host(s) ready in %.2fs", n_hosts,
+              time.perf_counter() - t)
+    return StateHosts(handles, {kind: n for kind, (_, n, _) in specs.items()})
+
+
 def crawl(seeds: Sequence[Page], registry: Dict[str, type],
           resolver_factory: Callable,
           config: Optional[CrawlConfig] = None) -> CrawlResult:
     """Run a full crawl. Ray must already be initialized by the caller."""
     import ray
-    import ray.data
 
     cfg = config or CrawlConfig()
+    ncpu_total = max(1, int(ray.cluster_resources().get("CPU", 32)))
+    state = _start_state_hosts(cfg, ncpu_total)
+    try:
+        return _crawl(seeds, registry, resolver_factory, cfg, state,
+                      ncpu_total)
+    finally:
+        # the result holds no host-owned object: stop the hosts now
+        # rather than when the last cached runner drops its handle
+        for h in state.handles:
+            ray.kill(h)
+
+
+def _crawl(seeds: Sequence[Page], registry: Dict[str, type],
+           resolver_factory: Callable, cfg: CrawlConfig, state: StateHosts,
+           ncpu_total: int) -> CrawlResult:
+    import ray
+    import ray.data
+
     crawl_id = uuid.uuid4().hex
-
-    # ---- long-lived state actors ----------------------------------------
-    shards = []
-    if cfg.dedup:
-        ShardActor = ray.remote(num_cpus=0)(SeenFilterShard)
-        shards = [ShardActor.remote(mode=cfg.dedup, capacity=cfg.filter_capacity)
-                  for _ in range(cfg.n_filter_shards)]
-    gates = []
-    if cfg.n_gates:
-        GateActor = ray.remote(num_cpus=0)(HostGate)
-        gates = [GateActor.remote(robots=cfg.robots,
-                                  per_host_wave_quota=cfg.per_host_wave_quota,
-                                  enforce_crawl_delay=cfg.enforce_crawl_delay)
-                 for _ in range(cfg.n_gates)]
-    prio_shards = []
-    if cfg.per_host_wave_quota:
-        from .priority import PriorityShard
-
-        PrioActor = ray.remote(num_cpus=0)(PriorityShard)
-        prio_shards = [PrioActor.remote() for _ in range(cfg.n_filter_shards)]
-    # current-wave candidate block owner (see _CandSink); block until the
-    # actor is fully started — ray.put(_owner=...) from a runner task
-    # fails with "actor not alive" if it races the async actor launch
-    cand_sink = ray.remote(num_cpus=0)(_CandSink).remote()
-    ray.get(cand_sink.__ray_ready__.remote())
 
     # ---- resume ----------------------------------------------------------
     ckpt = cfg.checkpoint_dir
@@ -479,11 +456,17 @@ def crawl(seeds: Sequence[Page], registry: Dict[str, type],
                 manifest = json.load(f)
             start_wave = manifest["next_wave"]
             counters = {k: int(v) for k, v in manifest["counters"].items()}
-            for i, s in enumerate(shards):
+            snaps = {}
+            for i in range(state.n(FILTER)):
                 snap_file = os.path.join(ckpt, f"filter_shard_{i}.bin")
                 if os.path.exists(snap_file):
                     with open(snap_file, "rb") as f:
-                        ray.get(s.restore.remote(f.read()))
+                        snaps[i] = (f.read(),)
+            state.call(FILTER, "restore", snaps)
+            # (checkpoints written before gate state was saved have none)
+            state.call(GATE, "restore", {
+                int(g): (snap,) for g, snap in manifest.get("gates", {}).items()
+                if int(g) < state.n(GATE)})
             fdir = os.path.join(ckpt, "frontier", f"wave_{start_wave:05d}")
             if os.path.isdir(fdir) and os.listdir(fdir):
                 frontier_ds = ray.data.read_parquet(fdir)
@@ -514,36 +497,30 @@ def crawl(seeds: Sequence[Page], registry: Dict[str, type],
     runner_kwargs = dict(
         registry=registry,
         resolver_factory=resolver_factory,
-        gates=gates or None,
-        filter_shards=shards or None,
+        state=state,
         dep_ref=dep_ref,
         scout=cfg.scout,
         expand=cfg.expand,
         error_policy=cfg.error_policy,
         simulate_latency=cfg.simulate_latency,
         cache_dir=cfg.cache_dir,
-        cand_sink=cand_sink,
     )
 
     def task_runner(batch: pa.Table) -> pa.Table:
         r = _RUNNER_CACHE.get(crawl_id)
         if r is None:
+            # a worker keeps one crawl's runner: an earlier crawl's runner
+            # (its client and state-host handles) is dropped here
+            _RUNNER_CACHE.clear()
             r = PageRunner(**runner_kwargs)
             _RUNNER_CACHE[crawl_id] = r
         return r(batch)
-
-    shard_handles = list(shards)
-
-    def commit_shards() -> None:
-        if shard_handles:
-            ray.get([s.commit.remote() for s in shard_handles])
 
     elect_task = ray.remote(num_cpus=1, num_returns=2)(_elect_block)
     # raw-task fan-out widths scale with the cluster, not a constant:
     # ~2 election tasks per core keeps every node busy while batching
     # the seen-filter RPCs; the counter folds take ~1 task per 2 cores
     # (they run in scheduler gaps behind later waves)
-    ncpu_total = max(1, int(ray.cluster_resources().get("CPU", 32)))
     elect_width = max(2 * ncpu_total, 8)
     count_width = max(ncpu_total // 2, 8)
     seed_n: Optional[int] = None
@@ -552,22 +529,21 @@ def crawl(seeds: Sequence[Page], registry: Dict[str, type],
     if frontier_ds is None:
         seed_t = seeds_to_table(list(seeds))
         frontier_ds = ray.data.from_arrow(seed_t)
-        if shard_handles:
+        if state.n(FILTER):
             # seeds never pass through a runner, so they take the
             # standalone offer pass; wave 0's runner query-filters them.
             # Raw tasks over the materialized seed blocks (round-5): the
             # offer, commit and query phases cost three actor-RPC rounds
             # instead of three Dataset executions.
-            ray.get([s.begin_wave.remote() for s in shard_handles])
+            state.each((FILTER,), "begin_wave")
             seed_refs = frontier_ds.materialize().to_arrow_refs()
             if seed_refs:
                 offer_task = ray.remote(num_cpus=1)(_offer_block)
                 n_groups = min(elect_width, len(seed_refs))
                 groups = [seed_refs[g::n_groups] for g in range(n_groups)]
-                ray.get([offer_task.remote(shard_handles, *grp)
-                         for grp in groups])
-                commit_shards()
-                pairs = [elect_task.remote(shard_handles, *grp)
+                ray.get([offer_task.remote(state, *grp) for grp in groups])
+                state.each((FILTER,), "commit")
+                pairs = [elect_task.remote(state, *grp)
                          for grp in groups]
                 counts = ray.get([c for _, c in pairs])
                 win = [t for (t, _), c in zip(pairs, counts) if c]
@@ -583,8 +559,6 @@ def crawl(seeds: Sequence[Page], registry: Dict[str, type],
     count_task = ray.remote(num_cpus=1)(_count_union_block)
     count_futs: List = []
     t0 = time.time()
-
-    verbose = bool(os.environ.get("SPATULA_RAY_WAVE_TIMING"))
 
     def _drain_frontier(refs=(), n_rows=0):
         """Rebuild the next wave's frontier from the wave's driver-owned
@@ -603,10 +577,7 @@ def crawl(seeds: Sequence[Page], registry: Dict[str, type],
         if n == 0 or (cfg.max_waves is not None and wave >= cfg.max_waves):
             break
 
-        if gates:
-            ray.get([g.begin_wave.remote() for g in gates])
-        if shard_handles:
-            ray.get([s.begin_wave.remote() for s in shard_handles])
+        state.each((FILTER, GATE), "begin_wave")
 
         n_deferred = 0
         defer_refs: List = []
@@ -614,7 +585,7 @@ def crawl(seeds: Sequence[Page], registry: Dict[str, type],
         if cfg.per_host_wave_quota:
             frontier_sel, n_deferred, defer_refs, defer_rows = \
                 _priority_select(frontier_ds, cfg.per_host_wave_quota,
-                                 prio_shards, elect_width)
+                                 state, elect_width)
             if n_deferred:
                 stats.add({"priority_deferred": n_deferred})
             n -= n_deferred
@@ -637,21 +608,14 @@ def crawl(seeds: Sequence[Page], registry: Dict[str, type],
 
         wave_in = wave_in.map_batches(_stamp_wave, batch_format="pyarrow")
 
-        if cfg.use_actors:
-            out = wave_in.map_batches(
-                PageRunner, fn_constructor_kwargs=runner_kwargs,
-                batch_format="pyarrow", batch_size=cfg.batch_size,
-                concurrency=cfg.concurrency or 8, num_cpus=cfg.runner_num_cpus)
-        else:
-            out = wave_in.map_batches(
-                task_runner, batch_format="pyarrow", batch_size=cfg.batch_size,
-                num_cpus=cfg.runner_num_cpus)
-        out = out.materialize()
+        out = wave_in.map_batches(
+            task_runner, batch_format="pyarrow", batch_size=cfg.batch_size,
+            num_cpus=cfg.runner_num_cpus).materialize()
         t_run = time.time()
 
         # Round-5 election fuse (verdict #8): candidates never ride the
         # union output at all — each runner task parks its expand/defer
-        # rows as narrow CAND_SCHEMA blocks in the candidate sink (keyed,
+        # rows as narrow CAND_SCHEMA blocks on a state host (keyed,
         # retry-idempotent), so the wave's union blocks hold ONLY
         # emit/page rows and materialize exactly once. After the offers
         # commit, the winner election runs over the parked candidate
@@ -661,9 +625,9 @@ def crawl(seeds: Sequence[Page], registry: Dict[str, type],
         # per-wave object-store traffic for emit/page payloads is
         # halved, and the election pass is proportional to the
         # candidate count, not the wave's document mass.
-        commit_shards()
+        state.each((FILTER,), "commit")
 
-        cand_refs, _n_cand = ray.get(cand_sink.drain.remote())
+        cand_refs, _n_cand = state.drain()
         win_refs: List = []
         win_rows = 0
         if cand_refs:
@@ -676,7 +640,7 @@ def crawl(seeds: Sequence[Page], registry: Dict[str, type],
             # object store as driver-owned refs.
             n_groups = min(elect_width, len(cand_refs))
             pairs = [
-                elect_task.remote(shard_handles, *cand_refs[g::n_groups])
+                elect_task.remote(state, *cand_refs[g::n_groups])
                 for g in range(n_groups)
             ]
             counts = ray.get([c for _, c in pairs])
@@ -721,22 +685,22 @@ def crawl(seeds: Sequence[Page], registry: Dict[str, type],
         wave_n = n
         frontier_ds, n = _drain_frontier(win_refs + defer_refs,
                                          win_rows + defer_rows)
-        if verbose:
-            print(f"[wave {wave}] n={wave_n} runner={t_run - tw:.2f}s "
-                  f"cands={time.time() - t_run:.2f}s next={n}", flush=True)
+        log.debug("wave %d: n=%d runner=%.2fs cands=%.2fs next=%d", wave,
+                  wave_n, t_run - tw, time.time() - t_run, n)
 
         wave += 1
         if ckpt:
             fdir = os.path.join(ckpt, "frontier", f"wave_{wave:05d}")
             if n:
                 frontier_ds.write_parquet(fdir)
-            for i, s in enumerate(shards):
-                snap = ray.get(s.snapshot.remote())
+            snaps = state.each((FILTER, GATE), "snapshot")
+            for i, snap in snaps[FILTER].items():
                 with open(os.path.join(ckpt, f"filter_shard_{i}.bin"), "wb") as f:
                     f.write(snap)
             _write_json_atomic(os.path.join(ckpt, "manifest.json"), {
                 "next_wave": wave,
                 "counters": stats.get(),
+                "gates": {str(g): snap for g, snap in snaps[GATE].items()},
                 "elapsed_sec": time.time() - t0,
                 "crawl_id": crawl_id,
             })
@@ -762,9 +726,7 @@ def crawl(seeds: Sequence[Page], registry: Dict[str, type],
         t_cnt = time.time()
         for pairs in ray.get(count_futs):
             stats.add({k: int(v) for k, v in pairs})
-        if verbose:
-            print(f"[final] counter gather {time.time() - t_cnt:.2f}s",
-                  flush=True)
+        log.debug("counter gather %.2fs", time.time() - t_cnt)
 
     counters = stats.get()
     counters.setdefault("pages", 0)
@@ -776,12 +738,11 @@ def crawl(seeds: Sequence[Page], registry: Dict[str, type],
     counters["errors"] = status_counts.get("error", 0) + status_counts.get("handled_error", 0)
     counters["skipped"] = status_counts.get("skipped", 0)
     counters["robots_denied"] = status_counts.get("robots_denied", 0)
-    for s in shard_handles:
-        st = ray.get(s.stats.remote())
+    shard_stats = state.each((FILTER, GATE), "stats")
+    for st in shard_stats[FILTER].values():
         counters["deduped"] = counters.get("deduped", 0) + st["seen_dropped"]
         counters["seen_inserted"] = counters.get("seen_inserted", 0) + st["inserted"]
-    for g in gates:
-        st = ray.get(g.stats.remote())
+    for st in shard_stats[GATE].values():
         counters["gate_deferred"] = counters.get("gate_deferred", 0) + st["deferred"]
     counters["elapsed_sec"] = round(time.time() - t0, 3)
 

@@ -4,8 +4,11 @@ The reference throttles globally (scrapelib ``requests_per_minute``,
 ``cli.py:79-84``) and has no robots handling; the north rule requires
 per-host politeness + robots as engine extensions. Each gate shard owns a
 disjoint set of hosts (shard = ``host_hash % n_gates``), so a hot host's
-admission decisions serialize on exactly one actor while other hosts
-proceed — the skew containment is the partitioning itself.
+admission decisions serialize on exactly one shard while other hosts
+proceed — the skew containment is the partitioning itself. The shards are
+plain objects on the crawl's state-host actors (:mod:`.statehost`), gate
+``g`` on host ``g % n_hosts``; their state is saved with every checkpoint
+and restored on resume.
 
 Admission codes: 0 = allow, 1 = defer (per-host wave quota exhausted; the
 row re-enters the next wave), 2 = robots-denied (dropped + counted).
@@ -31,7 +34,7 @@ class RobotsRules:
 
 
 class HostGate:
-    """One politeness shard (wrapped in ray.remote by the driver)."""
+    """One politeness shard (held by a state host)."""
 
     def __init__(self, robots: Optional[Dict[str, dict]] = None,
                  per_host_wave_quota: Optional[int] = None,

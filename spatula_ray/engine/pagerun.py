@@ -1,16 +1,18 @@
 """PageRunner — the fused fetch + parse + extract stage.
 
-One callable class for ``Dataset.map_batches(PageRunner, concurrency=N,
-batch_format="pyarrow")``: constructed once per actor (client + registry +
-broadcast dependency results), invoked per Arrow batch of frontier rows.
+One callable class, invoked per Arrow batch of frontier rows by the
+driver's ``map_batches`` task: constructed once per worker process and
+crawl (client + registry + broadcast dependency results) and cached there.
 Fusing fetch/parse/extract in one stage mirrors the reference's
 ``postprocess_response`` -> ``process_page`` fusion (pages.py:194-217) and
 keeps page bodies out of the object store — only compact emit/expand rows
 flow between stages.
 
-Politeness admission is a batched RPC to the owning HostGate shard per
-batch, grouped by ``host_hash % n_gates``; null-source rows bypass the gate
-(reference NullSource semantics, sources.py:58-72).
+Politeness admission is batched per runner batch: rows group by their
+HostGate shard (``host_hash % n_gates``) and each state host holding some
+of those shards gets one RPC (``statehost.StateHosts.call``); null-source
+rows bypass the gate (reference NullSource semantics, sources.py:58-72).
+URL-seen offers, queries and claims reach the filter shards the same way.
 
 The per-row dispatch reproduces the oracle's event semantics
 (spatula_ray.runner.iter_events) with child pages and pagination successors
@@ -30,6 +32,7 @@ from ..records import encode_input
 from ..origins import to_spec
 from ..runner import PAGINATION_ORDINAL, order_key_str, scout_projection, to_jsonable
 from .keys import canonicalize, dedup_hash, encode_order_key, hash64, host_of
+from .statehost import FILTER, GATE, StateHosts
 from .schema import (
     CAND_SCHEMA,
     FRONTIER_SCHEMA,
@@ -176,16 +179,14 @@ def frontier_row_from_page(page: Page, key: typing.Tuple[int, ...],
 class PageRunner:
     def __init__(self, registry: typing.Dict[str, type],
                  resolver_factory: typing.Callable,
-                 gates: typing.Optional[list] = None,
-                 filter_shards: typing.Optional[list] = None,
+                 state: typing.Optional[StateHosts] = None,
                  dep_ref=None,
                  scout: bool = False,
                  expand: bool = True,
                  error_policy: str = "record",
                  simulate_latency: bool = False,
                  query_input: bool = False,
-                 cache_dir: typing.Optional[str] = None,
-                 cand_sink=None):
+                 cache_dir: typing.Optional[str] = None):
         self.registry = registry
         from .schema import extend_schema, merged_record_type
 
@@ -203,10 +204,13 @@ class PageRunner:
             from ..cache import CachingClient
 
             self.client = CachingClient(self.client, cache_dir)
-        self.gates = gates or []
-        # dedup offer phase is fused into the runner batch: the wave's
-        # materialize barrier guarantees all offers land before commit
-        self.filter_shards = filter_shards or []
+        # the crawl's gates, URL-seen shards and candidate sink, reached
+        # through their state hosts. The dedup offer phase is fused into
+        # the runner batch: the wave's materialize barrier guarantees all
+        # offers land before commit
+        self.state = state
+        self.n_gates = state.n(GATE) if state is not None else 0
+        self.n_filter = state.n(FILTER) if state is not None else 0
         self.scout = scout
         self.expand = expand
         self.error_policy = error_policy
@@ -214,44 +218,33 @@ class PageRunner:
         # driver's candidate pass (off by default: frontier arrives
         # pre-filtered)
         self.query_input = query_input
-        # round-5 election fuse: when the driver provides a candidate
-        # sink, expand/defer rows are parked there (narrow CAND_SCHEMA
-        # blocks, keyed for task-retry idempotence) instead of riding
-        # the wave's union output — the post-commit winner election then
-        # scans candidates only, never the emit/page payload
-        self.cand_sink = cand_sink
         if dep_ref is not None:
             import ray
 
             deps = ray.get(dep_ref)
             # broadcast instance-dependency results: pre-warm the shared
-            # class-level cache once per actor (reference pages.py:148-155)
+            # class-level cache once per runner (reference pages.py:148-155)
             Page._cached_dependencies.update(deps)
 
     # -- admission ---------------------------------------------------------
     def _admit(self, rows: list) -> list:
         """Return per-row codes: 0 allow, 1 defer, 2 robots-denied."""
         codes = [0] * len(rows)
-        if not self.gates:
+        if not self.n_gates:
             return codes
-        import ray
         from urllib.parse import urlsplit
 
-        n = len(self.gates)
-        by_shard: typing.Dict[int, list] = {}
+        by_gate: typing.Dict[int, list] = {}
         for i, r in enumerate(rows):
             if not r["url"]:
                 continue
-            by_shard.setdefault(int(r["host_hash"]) % n, []).append(i)
-        futures = []
-        shard_rows = []
-        for shard, idxs in by_shard.items():
-            hosts = [rows[i]["host"] for i in idxs]
-            paths = [urlsplit(rows[i]["url"]).path for i in idxs]
-            futures.append(self.gates[shard].admit.remote(hosts, paths))
-            shard_rows.append(idxs)
-        for idxs, result in zip(shard_rows, ray.get(futures)):
-            for i, code in zip(idxs, result):
+            by_gate.setdefault(int(r["host_hash"]) % self.n_gates, []).append(i)
+        verdicts = self.state.call(GATE, "admit", {
+            g: ([rows[i]["host"] for i in idxs],
+                [urlsplit(rows[i]["url"]).path for i in idxs])
+            for g, idxs in by_gate.items()})
+        for g, idxs in by_gate.items():
+            for i, code in zip(idxs, verdicts[g]):
                 codes[i] = code
         return codes
 
@@ -268,8 +261,6 @@ class PageRunner:
         rest of the chain to the next wave if the quota is spent), then
         fetched and processed right here. Pagination proceeds even in scout
         mode and after handled errors (pages.py:206-244, 212-215)."""
-        import ray
-
         while self.expand:
             next_source = page.get_next_source()
             if not next_source:
@@ -286,11 +277,10 @@ class PageRunner:
                        "error", error=str(e))
                 return
             frow["wave"] = row.get("wave")
-            if self.filter_shards and frow["url"]:
-                shard = self.filter_shards[
-                    int(frow["url_hash"]) % len(self.filter_shards)]
-                if not ray.get(shard.claim.remote(frow["url_hash"],
-                                                  frow["order_bytes"])):
+            if self.n_filter and frow["url"]:
+                shard = int(frow["url_hash"]) % self.n_filter
+                if not self.state.call(FILTER, "claim", {
+                        shard: (frow["url_hash"], frow["order_bytes"])})[shard]:
                     return  # already seen: dedup ends the chain
             code = self._admit([frow])[0]
             if code == 2:
@@ -419,48 +409,38 @@ class PageRunner:
         return page, row
 
     def _offer_expands(self, out_rows: list) -> None:
-        if not self.filter_shards:
+        if not self.n_filter:
             return
-        import ray
-
-        n = len(self.filter_shards)
-        by_shard: typing.Dict[int, list] = {}
+        by_shard: typing.Dict[int, tuple] = {}
         for r in out_rows:
             if r.get("row_kind") == KIND_EXPAND and r.get("url"):
-                by_shard.setdefault(int(r["url_hash"]) % n, []).append(
-                    (int(r["url_hash"]), r["order_bytes"]))
-        if by_shard:
-            ray.get([
-                self.filter_shards[s].offer.remote([h for h, _ in hs],
-                                                   [o for _, o in hs])
-                for s, hs in by_shard.items()
-            ])
+                hashes, orders = by_shard.setdefault(
+                    int(r["url_hash"]) % self.n_filter, ([], []))
+                hashes.append(int(r["url_hash"]))
+                orders.append(r["order_bytes"])
+        self.state.call(FILTER, "offer", by_shard)
 
     def _filter_seen(self, rows: list) -> list:
         """Wave-N+1 side of the dedup protocol: drop rows that lost the
         min-order winner election committed at the end of wave N. Runs as
         the first step of the runner batch, so the whole query pass costs
         no extra Dataset execution."""
-        if not self.filter_shards:
+        if not self.n_filter:
             return rows
-        import ray
-
-        n = len(self.filter_shards)
         by_shard: typing.Dict[int, list] = {}
         for i, r in enumerate(rows):
             if r.get("url") and not r.get("pre_admitted"):
-                by_shard.setdefault(int(r["url_hash"]) % n, []).append(i)
+                by_shard.setdefault(int(r["url_hash"]) % self.n_filter,
+                                    []).append(i)
         if not by_shard:
             return rows
         keep = [True] * len(rows)
-        futures, idx_lists = [], []
+        masks = self.state.call(FILTER, "query", {
+            s: ([int(rows[i]["url_hash"]) for i in idxs],
+                [rows[i]["order_bytes"] for i in idxs])
+            for s, idxs in by_shard.items()})
         for s, idxs in by_shard.items():
-            futures.append(self.filter_shards[s].query.remote(
-                [int(rows[i]["url_hash"]) for i in idxs],
-                [rows[i]["order_bytes"] for i in idxs]))
-            idx_lists.append(idxs)
-        for idxs, mask in zip(idx_lists, ray.get(futures)):
-            for i, ok in zip(idxs, mask):
+            for i, ok in zip(idxs, masks[s]):
                 keep[i] = bool(ok)
         return [r for r, k in zip(rows, keep) if k]
 
@@ -484,32 +464,16 @@ class PageRunner:
             else:
                 self._run_row(row, b)
         self._offer_expands(b.fr)
-        if self.cand_sink is not None and b.fr:
-            self._park_candidates(b.fr)
+        if self.state is not None and b.fr:
+            # round-5 election fuse: expand/defer rows park on a state host
+            # (narrow CAND_SCHEMA blocks, keyed for task-retry idempotence)
+            # instead of riding the wave's union output — the post-commit
+            # winner election then scans candidates only, never the
+            # emit/page payload
+            self.state.park(b.fr, rows_to_table(b.fr, CAND_SCHEMA))
             b.fr = []
         # lineage counters are derived by the driver from the materialized
         # wave output (a cheap narrow pass) — no per-batch RPC to a shared
         # stats actor, which would serialize every runner on one mailbox at
         # cluster scale (round-1 verdict fix #6)
         return b.table()
-
-    def _park_candidates(self, fr_rows: list) -> None:
-        """Park this batch's expand/defer rows in the candidate sink.
-        The key is a deterministic digest of the rows' (url_hash,
-        order_bytes) identity, so a RETRIED task (worker death mid-batch
-        — tests/test_failure.py) replaces its own block instead of
-        double-parking: duplicated candidates would both pass the winner
-        election and fetch twice. hashlib, not hash(): Python's str/bytes
-        hash is per-process salted and a retry lands in a new worker."""
-        import hashlib
-
-        import ray
-
-        h = hashlib.blake2b(digest_size=16)
-        for r in fr_rows:
-            h.update(int(r.get("url_hash") or 0).to_bytes(8, "little"))
-            h.update(r.get("order_bytes") or b"")
-        key = (len(fr_rows), h.hexdigest())
-        t = rows_to_table(fr_rows, CAND_SCHEMA)
-        ref = ray.put(t, _owner=self.cand_sink)
-        ray.get(self.cand_sink.add.remote(key, [ref], t.num_rows))

@@ -1,18 +1,20 @@
-"""Sharded per-host priority election (wrapped in ray.remote by the driver).
+"""Sharded per-host priority election (shards held by the state hosts).
 
 Mirrors the URL-seen filter's two-phase offer/commit/query protocol
 (round-2 verdict fix #4 — the former ``_priority_select`` pulled every
 deferred order key to the driver with ``take_all()`` and broadcast the
-set): each wave, runner-side batches *offer* their narrow
+set): each wave, raw offer tasks *offer* the frontier's narrow
 (host_hash, priority, order_bytes, fetchable) projections to the shard
-owning ``host_hash % n_shards``; after the materialize barrier the driver
-calls *seal(k)* on every shard, which elects per host the top-k fetchable
-rows by (priority, order_bytes) — identical ordering to the reference's
+owning ``host_hash % n_shards``; the driver then calls *seal(k)* on every
+shard, which elects per host the top-k fetchable rows by
+(priority, order_bytes) — identical ordering to the reference's
 deterministic queue — and records the losers; the *query* pass then asks
-each shard for its rows' defer verdicts. Deferred keys never leave the
-shards, so driver memory stays O(1) regardless of frontier size; per-shard
-memory is bounded by that wave's frontier share, exactly like the seen
-filter's per-wave candidate map.
+each shard for its rows' defer verdicts. The shards are plain objects on
+the crawl's state-host actors (:mod:`.statehost`), shard ``s`` on host
+``s % n_hosts``, so each pass costs one RPC per host. Deferred keys never
+leave the shards, so driver memory stays O(1) regardless of frontier
+size; per-shard memory is bounded by that wave's frontier share, exactly
+like the seen filter's per-wave candidate map.
 """
 
 from __future__ import annotations

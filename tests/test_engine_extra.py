@@ -1,8 +1,8 @@
 """Engine-path coverage for the remaining page families and policies:
 mixed content types (JSON/CSV/XML/PDF) crawled distributed, content-retry
-flakiness, robots denial end-to-end, typed dataclass inputs, actor-pool
-runner mode. Fixture page classes live in spatula_ray.web (worker processes
-must be able to import them)."""
+flakiness, robots denial end-to-end, typed dataclass inputs, cuckoo dedup
+over the mixed web. Fixture page classes live in spatula_ray.web (worker
+processes must be able to import them)."""
 
 import json
 
@@ -86,12 +86,12 @@ def test_typed_dataclass_input_roundtrip():
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_use_actors_mode():
+def test_mixed_web_cuckoo_dedup():
     factory = MixedResolverFactory()
     registry = build_registry(MixedIndex, CsvRows, XmlItems, PdfText)
     result = crawl([MixedIndex()], registry, factory,
                    CrawlConfig(dedup="cuckoo", n_filter_shards=2,
-                               use_actors=True, concurrency=2, batch_size=8))
+                               batch_size=8))
     assert result.counters["emitted"] == 6
 
 

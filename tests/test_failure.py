@@ -44,8 +44,8 @@ def test_worker_death_mid_batch_is_retried_idempotently(tmp_path):
         os.remove(marker)
 
     factory = DocwebResolverFactory(f"{SF_DIR}/documents.parquet")
-    cfg = dict(dedup="cuckoo", n_filter_shards=2, batch_size=64,
-               use_actors=False)   # task path: Ray retries worker death
+    # runner tasks: Ray retries a task whose worker died
+    cfg = dict(dedup="cuckoo", n_filter_shards=2, batch_size=64)
 
     clean = crawl(docweb_seeds(500), build_registry(DocList, DocDetail),
                   factory, CrawlConfig(**cfg))
@@ -99,8 +99,7 @@ def test_worker_death_mid_election_is_retried_idempotently():
         return out
 
     factory = DocwebResolverFactory(f"{SF_DIR}/documents.parquet")
-    cfg = dict(dedup="cuckoo", n_filter_shards=2, batch_size=64,
-               use_actors=False)
+    cfg = dict(dedup="cuckoo", n_filter_shards=2, batch_size=64)
 
     clean = crawl(docweb_seeds(500), build_registry(DocList, DocDetail),
                   factory, CrawlConfig(**cfg))
