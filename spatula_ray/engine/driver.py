@@ -2,12 +2,12 @@
 
 Each wave is one Ray Data pipeline over the current frontier:
 
-    frontier -> map_batches(page runner) -> union(emit|expand|page|defer)
-             -> emits   written as a per-wave parquet partition (resumable)
-             -> pages   fetch-log partition (lineage/metrics)
-             -> expands -> offer/commit/query against the sharded URL-seen
-                           filter (deterministic min-order winners)
-             -> next frontier
+    frontier -> map_batches(page runner) -> union(emit|page)
+             -> emits   docs (per-wave parquet part files when checkpointed)
+             -> pages   fetch log (lineage/metrics)
+    runner expands -> offer/commit/query against the sharded URL-seen
+                      filter (deterministic min-order winners)
+                   -> next frontier
 
 The page-runner stage runs as stateless Ray Data tasks with a per-worker
 runner cache (client/registry built once per worker process and crawl,
@@ -22,6 +22,25 @@ shard keeps its fixed key routing and is placed on host
 one RPC per host, and a small session starts one state process per crawl
 instead of one per shard.
 
+Checkpoint layout (``CrawlConfig.checkpoint_dir``), written once per wave
+W that fetched pages, by one raw-task round over the wave's blocks (no
+Dataset execution) plus one RPC per state host:
+
+    docs/wave_W/part-G.parquet        the wave's docs, one part per task group
+    pages/wave_W/part-G.parquet       the wave's fetch log
+    frontier/wave_{W+1}/part-G.parquet  the next wave's frontier
+    filter/wave_{W+1}/shard_S.bin     each filter shard's sparse snapshot,
+                                      written by the host that holds it
+    manifest.json                     next wave, frontier row count, counters,
+                                      gate snapshots and the filter directory
+
+``manifest.json`` is replaced atomically and is the only commit point:
+files it does not name (a wave that crashed before its manifest, consumed
+frontiers, older snapshots) are deleted after each commit and before a
+resumed crawl starts, so re-running a wave neither reads a later filter
+nor adds a second copy of its docs. Part names are fixed per (wave,
+group), so a retried write task overwrites its own file.
+
 Scale notes: the frontier never lives on the driver — it stays a
 (materialized) Dataset of Arrow blocks in the object store between waves;
 emits/pages stream straight to parquet partitions; the only driver-side
@@ -35,6 +54,7 @@ from __future__ import annotations
 import json
 import logging
 import os
+import shutil
 import time
 import uuid
 from dataclasses import dataclass, field
@@ -42,6 +62,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.parquet as pq
 
 from ..model import Page
 from .cuckoo import SeenFilterShard
@@ -140,6 +161,36 @@ def _count_union_block(*tables) -> list:
         for k, v in zip(ct["k"].to_pylist(), ct["v"].to_pylist()):
             out[k] = out.get(k, 0) + v
     return list(out.items())
+
+
+def _write_part(path: str, *tables) -> None:
+    """Write ``tables`` as one parquet part file; no rows write nothing.
+    Also the raw task that writes a group of next-frontier blocks
+    (election winners or quota deferrals)."""
+    t = pa.concat_tables(tables) if len(tables) > 1 else tables[0]
+    if t.num_rows:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        pq.write_table(t, path)
+
+
+def _write_wave_part(docs_schema: pa.Schema, docs_path: str,
+                     pages_path: str, *tables) -> list:
+    """Raw-task checkpoint write over a group of a wave's materialized
+    union blocks: split by row kind, project to the docs and page-log
+    schemas, write one parquet part of each, and return the group's
+    (k, v) counters as :func:`_count_union_block` does. The part names
+    are fixed per (wave, group), so a retried task overwrites its own
+    files instead of adding a second copy."""
+    docs = pa.concat_tables([_project(docs_schema)(_split(KIND_EMIT)(t))
+                             for t in tables])
+    pages = pa.concat_tables([_project(PAGE_LOG_SCHEMA)(_split(KIND_PAGE)(t))
+                              for t in tables])
+    _write_part(docs_path, docs)
+    _write_part(pages_path, pages)
+    if not pages.num_rows:
+        return []
+    ct = _page_count_batch(pages)
+    return list(zip(ct["k"].to_pylist(), ct["v"].to_pylist()))
 
 
 def _offer_block(state: StateHosts, *tables) -> int:
@@ -388,6 +439,37 @@ def _write_json_atomic(path: str, obj: dict) -> None:
     os.replace(tmp, path)
 
 
+# version of the checkpoint layout described in the module docstring;
+# a manifest of another version is refused, not misread
+CHECKPOINT_LAYOUT = 2
+
+
+def _wave_dir(ckpt: str, kind: str, wave: int) -> str:
+    return os.path.join(ckpt, kind, f"wave_{wave:05d}")
+
+
+def _part_path(d: str, g: int) -> str:
+    return os.path.join(d, f"part-{g:05d}.parquet")
+
+
+def _sweep(ckpt: str, next_wave: int) -> None:
+    """Delete every checkpoint file that the manifest for ``next_wave``
+    does not name: docs and pages of waves at or past it (written by a
+    wave that never committed), and all frontier and filter snapshots
+    but that wave's own."""
+    keep = {"docs": lambda w: w < next_wave,
+            "pages": lambda w: w < next_wave,
+            "frontier": lambda w: w == next_wave,
+            "filter": lambda w: w == next_wave}
+    for kind, keep_wave in keep.items():
+        root = os.path.join(ckpt, kind)
+        if not os.path.isdir(root):
+            continue
+        for name in os.listdir(root):
+            if name.startswith("wave_") and not keep_wave(int(name[5:])):
+                shutil.rmtree(os.path.join(root, name))
+
+
 def _start_state_hosts(cfg: CrawlConfig, ncpu_total: int) -> StateHosts:
     """Start the crawl's state hosts and wait until each is alive (a
     runner's ``ray.put(_owner=host)`` fails with "actor not alive" if it
@@ -448,32 +530,32 @@ def _crawl(seeds: Sequence[Page], registry: Dict[str, type],
     start_wave = 0
     counters: Dict[str, int] = {}
     frontier_ds = None
+    n: Optional[int] = None
     if ckpt:
         os.makedirs(ckpt, exist_ok=True)
         manifest_path = os.path.join(ckpt, "manifest.json")
         if os.path.exists(manifest_path):
             with open(manifest_path) as f:
                 manifest = json.load(f)
+            if manifest.get("layout") != CHECKPOINT_LAYOUT:
+                raise ValueError(
+                    f"{ckpt} holds a checkpoint of another layout "
+                    f"(version {manifest.get('layout')}, this engine reads "
+                    f"{CHECKPOINT_LAYOUT}); remove it to start over")
             start_wave = manifest["next_wave"]
             counters = {k: int(v) for k, v in manifest["counters"].items()}
-            snaps = {}
-            for i in range(state.n(FILTER)):
-                snap_file = os.path.join(ckpt, f"filter_shard_{i}.bin")
-                if os.path.exists(snap_file):
-                    with open(snap_file, "rb") as f:
-                        snaps[i] = (f.read(),)
-            state.call(FILTER, "restore", snaps)
-            # (checkpoints written before gate state was saved have none)
-            state.call(GATE, "restore", {
-                int(g): (snap,) for g, snap in manifest.get("gates", {}).items()
-                if int(g) < state.n(GATE)})
-            fdir = os.path.join(ckpt, "frontier", f"wave_{start_wave:05d}")
-            if os.path.isdir(fdir) and os.listdir(fdir):
-                frontier_ds = ray.data.read_parquet(fdir)
-            else:
-                # manifest exists but no pending frontier: the crawl had
-                # finished — resume must NOT re-seed
-                frontier_ds = ray.data.from_arrow(UNION_SCHEMA.empty_table())
+            state.restore(os.path.join(ckpt, manifest["filter"]),
+                          {int(g): snap
+                           for g, snap in manifest["gates"].items()})
+            n = manifest["frontier_rows"]
+            # no pending frontier means the crawl had finished: resume
+            # must NOT re-seed
+            frontier_ds = ray.data.read_parquet(
+                _wave_dir(ckpt, "frontier", start_wave)) if n \
+                else ray.data.from_arrow(UNION_SCHEMA.empty_table())
+        # a crash between a wave's writes and its manifest leaves files
+        # that no manifest names; the re-run wave writes the only copy
+        _sweep(ckpt, start_wave)
 
     # ---- dependency broadcast -------------------------------------------
     dep_results = resolve_instance_dependencies(registry, resolver_factory,
@@ -519,16 +601,16 @@ def _crawl(seeds: Sequence[Page], registry: Dict[str, type],
     elect_task = ray.remote(num_cpus=1, num_returns=2)(_elect_block)
     # raw-task fan-out widths scale with the cluster, not a constant:
     # ~2 election tasks per core keeps every node busy while batching
-    # the seen-filter RPCs; the counter folds take ~1 task per 2 cores
-    # (they run in scheduler gaps behind later waves)
+    # the seen-filter RPCs; the counter folds and checkpoint writes take
+    # ~1 task per 2 cores
     elect_width = max(2 * ncpu_total, 8)
     count_width = max(ncpu_total // 2, 8)
-    seed_n: Optional[int] = None
 
     # ---- seeding ---------------------------------------------------------
     if frontier_ds is None:
         seed_t = seeds_to_table(list(seeds))
         frontier_ds = ray.data.from_arrow(seed_t)
+        n = seed_t.num_rows
         if state.n(FILTER):
             # seeds never pass through a runner, so they take the
             # standalone offer pass; wave 0's runner query-filters them.
@@ -547,16 +629,16 @@ def _crawl(seeds: Sequence[Page], registry: Dict[str, type],
                          for grp in groups]
                 counts = ray.get([c for _, c in pairs])
                 win = [t for (t, _), c in zip(pairs, counts) if c]
-                seed_n = sum(counts)
+                n = sum(counts)
                 frontier_ds = ray.data.from_arrow_refs(win) if win \
                     else ray.data.from_arrow(UNION_SCHEMA.empty_table())
-            else:
-                seed_n = 0
 
     docs_parts: List = []
     page_parts: List = []
     wave = start_wave
     count_task = ray.remote(num_cpus=1)(_count_union_block)
+    write_task = ray.remote(num_cpus=1)(_write_wave_part)
+    frontier_task = ray.remote(num_cpus=1)(_write_part)
     count_futs: List = []
     t0 = time.time()
 
@@ -569,9 +651,43 @@ def _crawl(seeds: Sequence[Page], registry: Dict[str, type],
             return ray.data.from_arrow(UNION_SCHEMA.empty_table()), 0
         return ray.data.from_arrow_refs(refs), n_rows
 
-    # seed path knows its count from the election outputs; the
-    # checkpoint-resume path counts its parquet-loaded frontier
-    n = seed_n if seed_n is not None else frontier_ds.count()
+    def _checkpoint(wave, blk_refs, win_refs, defer_refs, n_next):
+        """Commit wave ``wave``: one raw-task round writes its docs and
+        pages parts and the next frontier's parts while every state host
+        writes its own filter snapshots; then the manifest, the only
+        commit point, names them and older snapshots are deleted."""
+        nxt = wave + 1
+        ddir = _wave_dir(ckpt, "docs", wave)
+        pdir = _wave_dir(ckpt, "pages", wave)
+        fdir = _wave_dir(ckpt, "frontier", nxt)
+        ngc = min(count_width, len(blk_refs))
+        writes = [write_task.remote(docs_schema, _part_path(ddir, g),
+                                    _part_path(pdir, g), *blk_refs[g::ngc])
+                  for g in range(ngc)]
+        # winners and deferrals group apart: each kind shares one schema
+        groups = []
+        for refs in (win_refs, defer_refs):
+            ng = min(count_width, len(refs))
+            groups += [refs[g::ng] for g in range(ng)]
+        fwrites = [frontier_task.remote(_part_path(fdir, i), *grp)
+                   for i, grp in enumerate(groups)]
+        filter_dir = os.path.relpath(_wave_dir(ckpt, "filter", nxt), ckpt)
+        gates = state.checkpoint(os.path.join(ckpt, filter_dir))
+        for pairs in ray.get(writes):
+            stats.add({k: int(v) for k, v in pairs})
+        ray.get(fwrites)
+        _write_json_atomic(os.path.join(ckpt, "manifest.json"), {
+            "layout": CHECKPOINT_LAYOUT,
+            "next_wave": nxt,
+            "frontier_rows": n_next,
+            "filter": filter_dir,
+            "counters": stats.get(),
+            "gates": {str(g): snap for g, snap in gates.items()},
+            "elapsed_sec": time.time() - t0,
+            "crawl_id": crawl_id,
+        })
+        _sweep(ckpt, nxt)
+
     while True:
         tw = time.time()
         if n == 0 or (cfg.max_waves is not None and wave >= cfg.max_waves):
@@ -647,63 +763,41 @@ def _crawl(seeds: Sequence[Page], registry: Dict[str, type],
             win_refs = [t for (t, _), c in zip(pairs, counts) if c]
             win_rows = sum(counts)
 
-        combined = out
-        emits = combined.map_batches(_split(KIND_EMIT), batch_format="pyarrow") \
-                        .map_batches(_project(docs_schema), batch_format="pyarrow")
-        pages = combined.map_batches(_split(KIND_PAGE), batch_format="pyarrow") \
-                        .map_batches(_project(PAGE_LOG_SCHEMA), batch_format="pyarrow")
-
+        t_cands = time.time()
+        t_ckpt = 0.0
+        blk_refs = out.to_arrow_refs()
         if ckpt:
-            # checkpointed crawls pay a per-wave counting barrier so the
-            # manifest always carries exact cumulative counters for resume
-            blk_refs = out.to_arrow_refs()
-            ngc = min(count_width, max(1, len(blk_refs)))
-            for pairs in ray.get([count_task.remote(*blk_refs[g::ngc])
-                                  for g in range(ngc)] if blk_refs else []):
-                stats.add({k: int(v) for k, v in pairs})
-            ddir = os.path.join(ckpt, "docs", f"wave_{wave:05d}")
-            pdir = os.path.join(ckpt, "pages", f"wave_{wave:05d}")
-            emits.write_parquet(ddir)
-            pages.write_parquet(pdir)
+            _checkpoint(wave, blk_refs, win_refs, defer_refs,
+                        win_rows + defer_rows)
+            t_ckpt = time.time() - t_cands
         else:
             # counters fold from the wave's materialized union blocks via
             # raw tasks submitted now, gathered once at crawl end — they
             # fill scheduler gaps during later waves and the end-of-crawl
             # counting execution is gone (round-5)
-            blk_refs = out.to_arrow_refs()
             if blk_refs:
                 ngc = min(count_width, len(blk_refs))
                 count_futs.extend(count_task.remote(*blk_refs[g::ngc])
                                   for g in range(ngc))
-            docs_parts.append(emits)
-            page_parts.append(pages)
+            docs_parts.append(
+                out.map_batches(_split(KIND_EMIT), batch_format="pyarrow")
+                   .map_batches(_project(docs_schema), batch_format="pyarrow"))
+            page_parts.append(
+                out.map_batches(_split(KIND_PAGE), batch_format="pyarrow")
+                   .map_batches(_project(PAGE_LOG_SCHEMA),
+                                batch_format="pyarrow"))
 
         # next frontier: the election and quota-admit tasks returned the
         # winner / deferred blocks as driver-owned refs — merge both, no
         # extra execution, counts arrive without a fetch
-        out = None  # release the union blocks
+        out = blk_refs = None  # release the union blocks
         wave_n = n
         frontier_ds, n = _drain_frontier(win_refs + defer_refs,
                                          win_rows + defer_rows)
-        log.debug("wave %d: n=%d runner=%.2fs cands=%.2fs next=%d", wave,
-                  wave_n, t_run - tw, time.time() - t_run, n)
-
+        log.debug("wave %d: n=%d runner=%.2fs cands=%.2fs ckpt=%.2fs "
+                  "next=%d", wave, wave_n, t_run - tw, t_cands - t_run,
+                  t_ckpt, n)
         wave += 1
-        if ckpt:
-            fdir = os.path.join(ckpt, "frontier", f"wave_{wave:05d}")
-            if n:
-                frontier_ds.write_parquet(fdir)
-            snaps = state.each((FILTER, GATE), "snapshot")
-            for i, snap in snaps[FILTER].items():
-                with open(os.path.join(ckpt, f"filter_shard_{i}.bin"), "wb") as f:
-                    f.write(snap)
-            _write_json_atomic(os.path.join(ckpt, "manifest.json"), {
-                "next_wave": wave,
-                "counters": stats.get(),
-                "gates": {str(g): snap for g, snap in snaps[GATE].items()},
-                "elapsed_sec": time.time() - t0,
-                "crawl_id": crawl_id,
-            })
 
     # ---- assemble result -------------------------------------------------
     import ray.data as rd

@@ -18,12 +18,15 @@ election.
 Every call site groups its per-shard slices by host and makes one RPC per
 host (:meth:`StateHosts.call`); the per-shard results come back keyed by
 logical shard, so callers see the same answers as with one actor per
-shard, and checkpoints keep one file per logical shard.
+shard. Checkpoints keep one file per logical filter shard, which each host
+writes and reads itself (:meth:`StateHost.checkpoint`), so the filter
+tables never pass through the driver.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -31,6 +34,10 @@ import numpy as np
 FILTER = "filter"
 GATE = "gate"
 PRIO = "prio"
+
+
+def _snapshot_file(path: str, shard: int) -> str:
+    return os.path.join(path, f"shard_{shard}.bin")
 
 
 class StateHost:
@@ -61,6 +68,30 @@ class StateHost:
         return {kind: {s: getattr(obj, method)(*args)
                        for s, obj in self.shards.get(kind, {}).items()}
                 for kind in kinds}
+
+    # -- checkpoint -------------------------------------------------------
+    def checkpoint(self, path: str) -> dict:
+        """Write this host's filter shard snapshots into directory
+        ``path``, one file per logical shard, and return its gate
+        snapshots ({shard: snapshot}); those are small and go into the
+        manifest."""
+        filters = self.shards.get(FILTER, {})
+        if filters:
+            os.makedirs(path, exist_ok=True)
+        for s, shard in filters.items():
+            with open(_snapshot_file(path, s), "wb") as f:
+                f.write(shard.snapshot())
+        return {s: g.snapshot() for s, g in self.shards.get(GATE, {}).items()}
+
+    def restore(self, path: str, gates: dict) -> None:
+        """Inverse of :meth:`checkpoint`: read this host's filter shards
+        from ``path``; restore the gates named in ``gates``."""
+        for s, shard in self.shards.get(FILTER, {}).items():
+            with open(_snapshot_file(path, s), "rb") as f:
+                shard.restore(f.read())
+        for s, gate in self.shards.get(GATE, {}).items():
+            if s in gates:
+                gate.restore(gates[s])
 
     # -- current-wave candidate blocks ------------------------------------
     def park(self, key, refs: list, n: int) -> None:
@@ -120,6 +151,23 @@ class StateHosts:
             for kind, part in res.items():
                 out[kind].update(part)
         return out
+
+    def checkpoint(self, path: str) -> Dict[int, dict]:
+        """Every host writes its filter shards under ``path`` (one RPC per
+        host); returns the gate snapshots {gate: snapshot}."""
+        import ray
+
+        gates: Dict[int, dict] = {}
+        for part in ray.get([h.checkpoint.remote(path)
+                             for h in self.handles]):
+            gates.update(part)
+        return gates
+
+    def restore(self, path: str, gates: Dict[int, dict]) -> None:
+        """Every host restores its shards from ``path`` and ``gates``."""
+        import ray
+
+        ray.get([h.restore.remote(path, gates) for h in self.handles])
 
     def park(self, rows: List[dict], table) -> None:
         """Park a runner batch's candidate rows on one host. The key is a

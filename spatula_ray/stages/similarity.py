@@ -60,12 +60,7 @@ class CosineTopK:
     """map_batches actor: holds the normalized query matrix (shipped once
     per actor as a constructor value)."""
 
-    def __init__(self, queries: Optional[np.ndarray] = None, k: int = 10,
-                 queries_ref=None):
-        if queries_ref is not None:   # back-compat: explicit ObjectRef
-            import ray
-
-            queries = ray.get(queries_ref)
+    def __init__(self, queries: np.ndarray, k: int = 10):
         q = np.asarray(queries, dtype=np.float64)
         qn = np.linalg.norm(q, axis=1)
         qn[qn == 0] = 1.0

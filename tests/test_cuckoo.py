@@ -45,6 +45,35 @@ def test_cuckoo_snapshot_roundtrip():
     assert g.count == f.count
 
 
+def _assert_same_filter(g, f):
+    assert g.table.dtype == f.table.dtype
+    assert g.table.shape == f.table.shape
+    assert np.array_equal(g.table, f.table)
+    assert g.stash == f.stash
+    assert g.count == f.count
+
+
+def test_cuckoo_sparse_snapshot_is_bit_identical():
+    empty = CuckooFilter(capacity=4096)
+    half = CuckooFilter(capacity=4096)
+    for i in range(2048):
+        half.insert(hash64(f"h-{i}"))
+    tiny = CuckooFilter(capacity=16)
+    for i in range(200):
+        tiny.insert(hash64(f"t-{i}"))
+    assert tiny.stash, "the tiny filter never overflowed into its stash"
+    for f in (empty, half, tiny):
+        _assert_same_filter(CuckooFilter.restore(f.snapshot()), f)
+
+
+def test_cuckoo_snapshot_size_follows_contents():
+    f = CuckooFilter(capacity=1 << 21)
+    for i in range(1000):
+        f.insert(hash64(f"k-{i}"))
+    assert f.table.nbytes >= 8 << 20
+    assert len(f.snapshot()) < 64 << 10
+
+
 def _wave(shard, cands):
     """cands: list of (hash, order_bytes); returns surviving pairs."""
     shard.begin_wave()
