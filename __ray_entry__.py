@@ -284,18 +284,17 @@ def queries() -> dict[str, Callable[[str], Any]]:
     from spatula_ray.pipelines import docweb as dw
     from spatula_ray.pipelines import relational as rel
     from spatula_ray.stages import dedup as dd
+    from spatula_ray.stages import per_task
     from spatula_ray.stages import similarity as sim
     from spatula_ray.stages import text as tx
 
     def text_stats(sf_dir):
         return _docs(sf_dir, ["doc_id", "text"]).map_batches(
-            tx.TextStats, batch_format="pyarrow", concurrency=(2, 8), num_cpus=0.5,
-        max_restarts=0)
+            per_task(tx.TextStats), batch_format="pyarrow")
 
     def doc_quality(sf_dir):
         return _docs(sf_dir, ["doc_id", "text"]).map_batches(
-            tx.QualityScore, batch_format="pyarrow", concurrency=(2, 8), num_cpus=0.5,
-        max_restarts=0)
+            per_task(tx.QualityScore), batch_format="pyarrow")
 
     def docs_above_median_quality_q(sf_dir):
         import pyarrow.compute as pc
@@ -306,8 +305,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # snapped) quality score as the keep threshold — no driver scan
         # of the scores, only the bisection counts (stages/selection.py)
         scored = _docs(sf_dir, ["doc_id", "text"]).map_batches(
-            tx.QualityScore, batch_format="pyarrow", concurrency=(2, 8),
-            num_cpus=0.5, max_restarts=0).materialize()
+            per_task(tx.QualityScore), batch_format="pyarrow").materialize()
         p50 = exact_quantiles(scored, "quality", [0.5],
                               gather_threshold=0)[0.5]
         return scored.map_batches(
@@ -316,15 +314,13 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
     def langid_pred(sf_dir):
         return _docs(sf_dir, ["doc_id", "text"]).map_batches(
-            tx.LangId, batch_format="pyarrow", concurrency=(2, 8), num_cpus=0.5,
-        max_restarts=0)
+            per_task(tx.LangId), batch_format="pyarrow")
 
     def winnow(sf_dir):
         import pyarrow as pa
 
         out = _docs(sf_dir, ["doc_id", "text"]).map_batches(
-            tx.WinnowFingerprint, batch_format="pyarrow", concurrency=(2, 8), num_cpus=0.5,
-        max_restarts=0)
+            per_task(tx.WinnowFingerprint), batch_format="pyarrow")
 
         def explode(t: pa.Table) -> pa.Table:
             # exploded (doc_id, chunk, h) rows — SQL-comparable shape.
@@ -468,8 +464,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         from spatula_ray.stages.curate import RepetitionStats
 
         return _docs(sf_dir, ["doc_id", "text"]).map_batches(
-            RepetitionStats, batch_format="pyarrow", concurrency=(2, 8),
-            num_cpus=0.5, max_restarts=0)
+            per_task(RepetitionStats), batch_format="pyarrow")
 
     def hash_sample_q(sf_dir):
         from spatula_ray.stages.curate import hash_sample
@@ -571,10 +566,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
         train = docs.map_batches(lambda t: side(t, False),
                                  batch_format="pyarrow")
         return train.map_batches(
-            Decontaminate, fn_constructor_kwargs={
-                "eval_shingles": ray.put(ev), "threshold": 0.5},
-            batch_format="pyarrow", concurrency=(2, 8), num_cpus=0.5,
-            max_restarts=0)
+            per_task(Decontaminate, eval_shingles=ray.put(ev), threshold=0.5),
+            batch_format="pyarrow")
 
     def bloom_decontaminate_q(sf_dir):
         import numpy as np
@@ -607,10 +600,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
         train = docs.map_batches(lambda t: side(t, False),
                                  batch_format="pyarrow")
         return train.map_batches(
-            BloomDecontaminate, fn_constructor_kwargs={
-                "bits": ray.put(bits), "oracle_parity": True},
-            batch_format="pyarrow", concurrency=(2, 8), num_cpus=0.5,
-            max_restarts=0)
+            per_task(BloomDecontaminate, bits=ray.put(bits),
+                     oracle_parity=True),
+            batch_format="pyarrow")
 
     def heavy_hitters_q(sf_dir):
         from spatula_ray.stages.sketch import cms_heavy_hitters
@@ -753,8 +745,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # weight = snapped quality score as a permille (quality is on
         # [0, ~1] after the 1e-6 grid; floor(q*1000) is integer-exact)
         scored = _docs(sf_dir, ["doc_id", "text"]).map_batches(
-            tx.QualityScore, batch_format="pyarrow", concurrency=(2, 8),
-            num_cpus=0.5, max_restarts=0)
+            per_task(tx.QualityScore), batch_format="pyarrow")
 
         def weigh(t):
             import pyarrow as pa
@@ -795,13 +786,11 @@ def queries() -> dict[str, Callable[[str], Any]]:
                              batch_format="pyarrow"), n_shards=4)
         train = docs.map_batches(lambda t: side(t, False),
                                  batch_format="pyarrow")
-        # shard handles pass by value; restartable state lives in the
-        # actors, so max_restarts=0 on the stateless mapper pool
+        # shard handles pass by value; the membership state lives in the
+        # shard actors, the mapper is a plain task stage
         out = train.map_batches(
-            DecontaminateSharded, fn_constructor_kwargs={
-                "shards": shards, "threshold": 0.5},
-            batch_format="pyarrow", concurrency=(2, 8), num_cpus=0.5,
-            max_restarts=0).materialize()
+            per_task(DecontaminateSharded, shards=shards, threshold=0.5),
+            batch_format="pyarrow").materialize()
         # callers own shard-actor lifetime (round-3 advisor fix):
         # materialize above fully consumes the shards, so kill them here
         # rather than leaking one zero-CPU set-holding actor per gate run
@@ -905,8 +894,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # keep = quality above p25 AND nll at-or-below p75
         docs = _docs(sf_dir, ["doc_id", "text"]).materialize()
         scored = docs.map_batches(
-            tx.QualityScore, batch_format="pyarrow", concurrency=(2, 8),
-            num_cpus=0.5, max_restarts=0).materialize()
+            per_task(tx.QualityScore), batch_format="pyarrow").materialize()
         fluent = lm_nll(docs, vocab_size=200, add_k=1) \
             .select_columns(["doc_id", "nll"]).materialize()
         q25 = exact_quantiles(scored, "quality", [0.25],
@@ -2554,13 +2542,11 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
         result = dw.crawl_docweb(sf_dir)
         manifest = media_manifest_from_docs(result.docs)
-        # decode + feature-extract in the actor pool, keeping media_ref
+        # decode + feature-extract in a task stage, keeping media_ref
         # (the SQL-reconstructible key) and exploding the feature vector so
         # the DuckDB oracle can value-compare everything
-        return manifest.map_batches(DecodeStubExploded,
-                                    batch_format="pyarrow", batch_size=64,
-                                    concurrency=2, num_cpus=0.5,
-        max_restarts=0)
+        return manifest.map_batches(per_task(DecodeStubExploded),
+                                    batch_format="pyarrow", batch_size=64)
 
     q = {
         # crawl engine (flagship)

@@ -65,9 +65,8 @@ def run_bench(crawl_only: bool = False) -> dict:
 
     # no log_to_driver suppression needed (round-2 verdict fix #7): the
     # schema-hash reduce spam is fixed at source (ioutil.read_parquet_clean
-    # strips the unhashable pandas metadata) and the ray#53727 actor-restart
-    # warning is fixed by max_restarts=0 on the deterministic operator
-    # actor pools
+    # strips the unhashable pandas metadata) and the per-batch stage
+    # classes run as plain tasks, so no actor-restart warning arises
     ray.init(address="local", num_cpus=ncpu, include_dashboard=False,
              ignore_reinit_error=True, logging_level="ERROR")
     import ray.data

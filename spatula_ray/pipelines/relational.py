@@ -451,7 +451,7 @@ def props_k_stats(sf_dir: str):
     the Arrow string array, zero Python in the hot path) and aggregate
     per event_type. The regex path is the structural fast path for the
     fixture's flat ``{"k": int}`` payloads; a general nested-JSON decode
-    would swap in a per-actor ``json.loads`` stage at the same seam.
+    would swap in a per-batch ``json.loads`` stage at the same seam.
     avg_k is one IEEE division of exact int64s — identical in SQL."""
     from ray.data.aggregate import Count, Sum
 

@@ -4,8 +4,9 @@ filtering, deterministic sampling, sequence packing, fuzzy-dedup cluster
 assignment, and corpus-level term weighting.
 
 Design rules (same as the rest of the repo):
-  * every stage is a ``map_batches`` transform (actor pool only where
-    per-actor state exists) over Arrow batches; no per-row Python in the
+  * every stage is a ``map_batches`` task transform (a stage class's
+    constructor runs once per task, :func:`per_task`) over Arrow batches;
+    no per-row Python in the
     hot path — flattened token arrays go through pandas' C groupby paths;
   * every wide step is an explicit ``groupby`` with a documented key, with
     partial aggregation pushed into the batches wherever semantics allow;
@@ -28,6 +29,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+
+from . import per_task
 
 
 def _grid(arr, scale: float):
@@ -638,7 +641,7 @@ class VocabCoverage:
     the data-quality signal that drops boilerplate/gibberish docs whose
     token mass falls outside the corpus head vocabulary.
 
-    The vocab set ships once per actor (constructor value); each batch
+    The vocab set ships once per task (constructor value); each batch
     flattens to one token array and membership-tests through pandas'
     vectorized ``isin`` — a pure streaming map over the 100 TB side,
     exactly the :class:`Decontaminate` shape. Emits (doc_id, n_tokens,
@@ -675,10 +678,8 @@ def vocab_coverage(docs, vocab_size: int = 200):
     The driver holds only the V-row vocab (bounded by construction)."""
     vocab = frozenset(
         r["term"] for r in corpus_vocab(docs, vocab_size).take_all())
-    return docs.map_batches(
-        VocabCoverage, fn_constructor_kwargs={"vocab": vocab},
-        batch_format="pyarrow", concurrency=(2, 8), num_cpus=0.5,
-        max_restarts=0)
+    return docs.map_batches(per_task(VocabCoverage, vocab=vocab),
+                            batch_format="pyarrow")
 
 
 # -- per-stratum deterministic sampling ----------------------------------------
@@ -792,7 +793,7 @@ class Decontaminate:
     benchmark-decontamination pass every LLM training pipeline runs.
 
     The eval shingle set is broadcast once (``ray.put`` by the caller /
-    Ray's implicit closure capture of by-value args) and read per actor in
+    Ray's implicit closure capture of by-value args) and read per task in
     ``__init__``; each batch flattens to one (doc, shingle) frame and
     membership-tests through pandas' vectorized ``isin`` — no per-row
     Python, no shuffle: a pure streaming map over the 100 TB side.
@@ -902,7 +903,7 @@ class BloomDecontaminate:
     """Decontaminate against a broadcast Bloom filter: a doc is flagged
     when ANY of its shingles is bloom-positive (all ``n_hashes`` bits
     set). Same streaming-map shape as :class:`Decontaminate`; memory per
-    actor is the m-bit array instead of the eval shingle set. Output is
+    task is the m-bit array instead of the eval shingle set. Output is
     deterministic (false positives included) and SQL-mirrorable."""
 
     def __init__(self, bits, k: int = 3, m: int = _BLOOM_M,
@@ -1949,7 +1950,7 @@ def bigram_lm_counts(docs, vocab_size: int = 200):
 
 
 class LMScore:
-    """Actor-pool scorer: per-document mean negative log-likelihood under
+    """Per-batch scorer: per-document mean negative log-likelihood under
     the broadcast add-k bigram LM. One vectorized pass per batch: token
     -> id via ``pd.Index.get_indexer``, probability lookup via fancy
     indexing into the dense count matrix, per-doc segment sums via
@@ -1987,15 +1988,13 @@ def lm_nll(docs, vocab_size: int = 200, add_k: int = 1):
     """Bigram-LM perplexity quality score for every document (the CCNet
     / Wenzek et al. 2020 LM-filter shape, with the corpus itself as the
     LM training set): two bounded-output scans train the (V+2)x(V+1)
-    count table, then a pure streaming actor-pool map scores 100 TB
+    count table, then a pure streaming task map scores 100 TB
     without any further shuffle. Pass a materialized narrow projection
     when upstream is expensive (scanned twice)."""
     vocab, counts = bigram_lm_counts(docs, vocab_size)
     return docs.map_batches(
-        LMScore, fn_constructor_kwargs={"vocab": vocab, "counts": counts,
-                                        "add_k": add_k},
-        batch_format="pyarrow", concurrency=(2, 8), num_cpus=0.5,
-        max_restarts=0)
+        per_task(LMScore, vocab=vocab, counts=counts, add_k=add_k),
+        batch_format="pyarrow")
 
 
 # -- DSIR importance resampling (Xie et al. 2023) ------------------------------
@@ -2070,7 +2069,7 @@ def dsir_log_ratio_micro(target_counts: np.ndarray, raw_counts: np.ndarray,
 
 
 class DsirScore:
-    """Actor-pool scorer: per-document DSIR importance log-weight under
+    """Per-batch scorer: per-document DSIR importance log-weight under
     the broadcast micro-unit lambda table (``n_buckets`` int64s — 32 KB
     at the default 4096, free to ship to every worker). One vectorized
     pass per batch: feature stream -> salted bucket -> lambda lookup ->
@@ -2125,11 +2124,9 @@ def dsir_select(raw, target, n: int, n_buckets: int = _DSIR_B,
         dsir_bucket_totals(target, n_buckets, oracle_parity),
         dsir_bucket_totals(raw, n_buckets, oracle_parity), add_k)
     scored = raw.map_batches(
-        DsirScore, fn_constructor_kwargs={
-            "lam_micro": ray.put(lam), "n_buckets": n_buckets,
-            "oracle_parity": oracle_parity},
-        batch_format="pyarrow", concurrency=(2, 8), num_cpus=0.5,
-        max_restarts=0)
+        per_task(DsirScore, lam_micro=ray.put(lam), n_buckets=n_buckets,
+                 oracle_parity=oracle_parity),
+        batch_format="pyarrow")
 
     def local_top(t: pa.Table) -> pa.Table:
         lw = t["logw_micro"].combine_chunks().to_numpy(zero_copy_only=False)
@@ -2374,7 +2371,7 @@ class _ReportPartials:
     """Per-batch per-source partials for :func:`corpus_report`: doc
     count, token count (string_split convention), and the integer-micro
     quality sum (the QualityScore formula inlined so source/text ride
-    one pass). Actor-pool stage: regex compiled once per actor."""
+    one pass). Task stage: regex compiled once per task."""
 
     def __init__(self):
         import re
@@ -2428,9 +2425,8 @@ def corpus_report(docs):
 
     from ray.data.aggregate import Sum
 
-    agg = (docs.map_batches(_ReportPartials, batch_format="pyarrow",
-                            concurrency=(2, 8), num_cpus=0.5,
-                            max_restarts=0)
+    agg = (docs.map_batches(per_task(_ReportPartials),
+                            batch_format="pyarrow")
            .groupby("source").aggregate(Sum("n", alias_name="n_docs"),
                                         Sum("nt", alias_name="n_tokens"),
                                         Sum("qm", alias_name="qm")))

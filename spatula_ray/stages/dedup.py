@@ -28,6 +28,8 @@ from typing import List
 import numpy as np
 import pyarrow as pa
 
+from . import per_task
+
 _MERS61 = (1 << 61) - 1
 
 
@@ -164,7 +166,7 @@ def exact_dedup(ds, text_col: str = "text", id_col: str = "doc_id",
 
 class MinHasher:
     """Per-doc MinHash signatures; permutation parameters are derived from
-    the seed once per actor (the stateful-stage pattern).
+    the seed once per task (:func:`per_task`).
 
     ``oracle_parity=True`` switches BOTH the shingle hash (md5
     low-8-bytes, :func:`_shingle_hashes_md5`) and the permutation
@@ -247,11 +249,10 @@ class MinHasher:
 
 
 def minhash_signatures(ds, n_perm: int = 64, k_shingle: int = 3,
-                       seed: int = 42, concurrency: int = 2):
-    return ds.map_batches(MinHasher, fn_constructor_kwargs=dict(
-        n_perm=n_perm, k_shingle=k_shingle, seed=seed),
-        batch_format="pyarrow", concurrency=(concurrency, 8), num_cpus=0.5,
-        batch_size=512, max_restarts=0)
+                       seed: int = 42):
+    return ds.map_batches(per_task(MinHasher, n_perm=n_perm,
+                                   k_shingle=k_shingle, seed=seed),
+                          batch_format="pyarrow", batch_size=512)
 
 
 def lsh_candidate_pairs(sig_ds, bands: int = 32, rows: int = 2):
@@ -444,10 +445,8 @@ def minhash_dup_pairs(ds, threshold: float = 0.5, n_perm: int = 64,
 
     joined = keyed.groupby("__b2").map_groups(pivot, batch_format="pandas")
     return joined.map_batches(
-        _JaccardVerify,
-        fn_constructor_kwargs=dict(k_shingle=k_shingle, threshold=threshold),
-        batch_format="pyarrow", concurrency=(2, 8), num_cpus=0.5,
-        max_restarts=0)
+        per_task(_JaccardVerify, k_shingle=k_shingle, threshold=threshold),
+        batch_format="pyarrow")
 
 
 # ---------------------------------------------------------------------------
@@ -474,10 +473,9 @@ def minhash_calibration(ds, threshold: float = 0.2,
     sort-groupby has no uint64 path — the dust_rules convention)."""
     from .joins import hash_bucket_join
 
-    sig = ds.map_batches(MinHasher, fn_constructor_kwargs=dict(
-        n_perm=n_perm, k_shingle=k_shingle, oracle_parity=True),
-        batch_format="pyarrow", concurrency=(2, 8), num_cpus=0.5,
-        batch_size=512, max_restarts=0)
+    sig = ds.map_batches(per_task(MinHasher, n_perm=n_perm,
+                                  k_shingle=k_shingle, oracle_parity=True),
+                         batch_format="pyarrow", batch_size=512)
 
     def as_side(key: str):
         # signatures pack into one binary blob per doc: acero joins
@@ -1119,10 +1117,9 @@ def simhash_dup_pairs(ds, max_hamming: int = 3, k_shingle: int = 2,
     exact Hamming verification per bucket."""
     import pandas as pd
 
-    sh = ds.map_batches(SimHasher, fn_constructor_kwargs=dict(
-        k_shingle=k_shingle, oracle_parity=oracle_parity),
-        batch_format="pyarrow", concurrency=2, num_cpus=0.5,
-        max_restarts=0)
+    sh = ds.map_batches(per_task(SimHasher, k_shingle=k_shingle,
+                                 oracle_parity=oracle_parity),
+                        batch_format="pyarrow")
 
     def explode(batch: pa.Table) -> pa.Table:
         h = (batch["simhash"].to_numpy(zero_copy_only=False)
@@ -1180,11 +1177,12 @@ def simhash_dup_pairs(ds, max_hamming: int = 3, k_shingle: int = 2,
 # ---------------------------------------------------------------------------
 
 class _MultiprobeBucketize:
-    """map_batches actor: random-hyperplane signature per vector, exploded
-    to the home bucket plus every 1-bit-flip bucket (both sides probe, so
-    any pair whose signatures differ in <=2 of ``n_planes`` planes lands in
-    a shared bucket). Planes are seeded once per actor; the hyperplane
-    matrix is built lazily from the first batch's dimensionality."""
+    """map_batches stage class: random-hyperplane signature per vector,
+    exploded to the home bucket plus every 1-bit-flip bucket (both sides
+    probe, so any pair whose signatures differ in <=2 of ``n_planes``
+    planes lands in a shared bucket). Planes are seeded once per task; the
+    hyperplane matrix is built lazily from the first batch's
+    dimensionality."""
 
     def __init__(self, n_planes: int, seed: int):
         self.n_planes = n_planes
@@ -1306,10 +1304,8 @@ def embedding_dup_pairs(ds, threshold: float = 0.999,
         n_planes = max(8, int(np.ceil(np.log2(max(n_docs, 1) / 64 + 1))))
 
     exploded = ds.select_columns([id_col, emb_col]).map_batches(
-        _MultiprobeBucketize,
-        fn_constructor_kwargs=dict(n_planes=n_planes, seed=seed),
-        batch_format="pyarrow", concurrency=(2, 8), num_cpus=0.5,
-        max_restarts=0)
+        per_task(_MultiprobeBucketize, n_planes=n_planes, seed=seed),
+        batch_format="pyarrow")
 
     def bucket_pairs(g: pd.DataFrame) -> pd.DataFrame:
         g = g.drop_duplicates("vec_id")

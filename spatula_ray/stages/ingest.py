@@ -21,9 +21,11 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from . import per_task
+
 
 class SitemapParse:
-    """Actor-pool stage: ``<urlset>`` sitemap bodies -> one row per
+    """Per-batch stage: ``<urlset>`` sitemap bodies -> one row per
     ``<url>`` entry: ``(host, url, lastmod)``. Entries missing ``<loc>``
     are dropped; missing ``<lastmod>`` emits ''. Per-entry Python is the
     parse itself (a DOM walk), same as every page-class stage; bodies
@@ -54,11 +56,10 @@ class SitemapParse:
         })
 
 
-def parse_sitemaps(sitemaps, concurrency=(2, 8), batch_size: int = 32):
-    """Actor-pool wrapper for :class:`SitemapParse`."""
-    return sitemaps.map_batches(
-        SitemapParse, concurrency=concurrency, batch_size=batch_size,
-        batch_format="pyarrow", max_restarts=0)
+def parse_sitemaps(sitemaps, batch_size: int = 32):
+    """Task-stage wrapper for :class:`SitemapParse`."""
+    return sitemaps.map_batches(per_task(SitemapParse),
+                                batch_size=batch_size, batch_format="pyarrow")
 
 
 def dust_param_rules(pages, url_col: str = "url",
@@ -755,8 +756,9 @@ def crawl_budget_allocation(hosts, budget: int,
     between host ranking and the next crawl epoch (per-host page quotas
     ∝ host rank are the standard freshness/quality budget policy; cf.
     Cho & Garcia-Molina VLDB'00 on crawl ordering). Given ``(host,
-    weight)`` rows (weight = host-rank micro value, page count, or any
-    non-negative integer score) and a total page ``budget`` B, emit
+    weight)`` rows, one per host (weight = host-rank micro value, page
+    count, or any non-negative integer score; a repeated host raises
+    ``ValueError``) and a total page ``budget`` B, emit
     ``(host, weight, budget)`` integer quotas that sum to EXACTLY B.
 
     Rounding is the cumulative-quota (Webster/jump-point) scheme:
@@ -818,6 +820,12 @@ def crawl_budget_allocation(hosts, budget: int,
 
     def alloc(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(host_col, kind="mergesort")
+        # all of a host's rows share its prefix bucket, so a duplicate
+        # is always visible inside one group
+        dup = g[host_col][g[host_col].duplicated()]
+        if len(dup):
+            raise ValueError("crawl_budget_allocation: duplicate %s %r"
+                             % (host_col, dup.iloc[0]))
         w = g[weight_col].to_numpy().astype(np.int64)
         if (w < 0).any():
             raise ValueError("crawl_budget_allocation: negative weight")
@@ -835,7 +843,7 @@ def crawl_budget_allocation(hosts, budget: int,
 
 
 class SitemapIndexParse:
-    """Actor-pool stage: ``<sitemapindex>`` bodies -> one row per child
+    """Per-batch stage: ``<sitemapindex>`` bodies -> one row per child
     ``<sitemap>`` entry: ``(host, sitemap_url, lastmod)`` — the
     recursion step the module docstring promises (index files point at
     sitemaps; feed this stage's output URLs back through the fetcher
@@ -868,9 +876,7 @@ class SitemapIndexParse:
         })
 
 
-def parse_sitemap_index(indexes, concurrency=(2, 8),
-                        batch_size: int = 32):
-    """Actor-pool wrapper for :class:`SitemapIndexParse`."""
-    return indexes.map_batches(
-        SitemapIndexParse, concurrency=concurrency,
-        batch_size=batch_size, batch_format="pyarrow", max_restarts=0)
+def parse_sitemap_index(indexes, batch_size: int = 32):
+    """Task-stage wrapper for :class:`SitemapIndexParse`."""
+    return indexes.map_batches(per_task(SitemapIndexParse),
+                               batch_size=batch_size, batch_format="pyarrow")

@@ -134,22 +134,14 @@ def hash_bucket_join(left, right, on: List[str], how: str = "inner",
 
 
 def broadcast_lookup(ds, small_df, on: List[str], how: str = "inner"):
-    """Small-side join: ship the dimension table once per actor as a
-    constructor value (Ray auto-puts large ctor args in the object store,
-    so this is the broadcast pattern either way; by-value keeps actor
-    state reconstructible — ray#53727) and merge per batch — no shuffle."""
-    import pandas as pd
+    """Small-side join: the dimension table rides in the map function's
+    closure (Ray Data puts the function in the object store once per
+    operator, so this is the broadcast pattern) and each batch merges
+    against it — no shuffle."""
+    def join(batch):
+        return batch.merge(small_df, on=on, how=how)
 
-    class Joiner:
-        def __init__(self, small):
-            self.small = small
-
-        def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-            return batch.merge(self.small, on=on, how=how)
-
-    return ds.map_batches(Joiner, fn_constructor_kwargs=dict(small=small_df),
-                          batch_format="pandas", concurrency=2,
-                          num_cpus=0.5, max_restarts=0)
+    return ds.map_batches(join, batch_format="pandas")
 
 
 def asof_join(left, right, by: str, left_on: str, right_on: str,

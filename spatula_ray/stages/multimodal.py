@@ -1,11 +1,11 @@
 """Multimodal columns: image/audio/video as opaque ``binary`` columns with
-typed metadata, processed by actor-pool map_batches stages.
+typed metadata, processed by per-batch map_batches task stages.
 
 The decode libraries (PIL/ffmpeg/etc.) are NOT present in this container, so
 the decode kernel is STUBBED: ``DecodeStub`` raises NotImplementedError for
 real media and provides a clearly-marked deterministic fake for bodies
 carrying the ``FAKEIMG`` header. Everything around the kernel — schema,
-batch sizing for large binary payloads, per-actor setup, output layout — is
+batch sizing for large binary payloads, per-task setup, output layout — is
 real and tested; swapping in a real decoder is a one-method change.
 """
 
@@ -17,6 +17,8 @@ from typing import Optional
 
 import numpy as np
 import pyarrow as pa
+
+from . import per_task
 
 MEDIA_SCHEMA = pa.schema([
     ("media_id", pa.string()),
@@ -207,7 +209,7 @@ def _hash_proj(n_in: int, n_out: int) -> np.ndarray:
 
 
 class DecodeStub:
-    """Actor-pool decode/feature stage. Per-actor state (a real model would
+    """Per-batch decode/feature stage. Per-task state (a real model would
     load here) is the feature projection matrix, built once in __init__
     (hash-derived so the correctness oracle can mirror it; ``seed`` kept
     for API stability, unused).
@@ -220,7 +222,7 @@ class DecodeStub:
         # self-upgrading seam (round-2 verdict fix #10): when PIL exists
         # (it does not in this container), real image bytes decode for
         # real — width/height from the image, 16 features from a 4x4
-        # grayscale thumbnail; the import is probed once per actor
+        # grayscale thumbnail; the import is probed once per task
         try:
             from PIL import Image  # noqa: F401
 
@@ -297,13 +299,11 @@ class DecodeStubExploded(DecodeStub):
         })
 
 
-def extract_media_features(media_ds, concurrency: int = 2,
-                           batch_size: int = 64):
-    """Large binary payloads -> small batches (batch_size) so
-    batch x concurrency stays inside the worker heap; features are compact."""
-    return media_ds.map_batches(DecodeStub, batch_format="pyarrow",
-                                batch_size=batch_size, concurrency=concurrency,
-                                num_cpus=0.5)
+def extract_media_features(media_ds, batch_size: int = 64):
+    """Large binary payloads -> small batches (batch_size) so a
+    batch stays inside the worker heap; features are compact."""
+    return media_ds.map_batches(per_task(DecodeStub), batch_format="pyarrow",
+                                batch_size=batch_size)
 
 
 def media_manifest_from_docs(docs_ds):
@@ -358,7 +358,7 @@ def synth_wav(doc_id: int) -> bytes:
 
 
 class AudioFeatures:
-    """Actor-pool WAV feature extractor: parse the RIFF container with
+    """Per-batch WAV feature extractor: parse the RIFF container with
     stdlib ``wave``, then exact int64 aggregates over the PCM samples —
     duration (µs, exact at 8 kHz: n*125), sum / sum-of-squares / peak
     amplitude, and zero crossings (sign products < 0). Binary payloads
@@ -393,14 +393,12 @@ class AudioFeatures:
         })
 
 
-def audio_features(wav_ds, concurrency=(2, 8), batch_size: int = 64):
+def audio_features(wav_ds, batch_size: int = 64):
     """Distributed WAV feature extraction over a (doc_id, wav) Dataset.
     Small batches by default — multimodal blobs dominate batch memory, so
-    batch_size x concurrency is the knob that must fit the worker heap."""
-    return wav_ds.map_batches(AudioFeatures, batch_format="pyarrow",
-                              concurrency=concurrency,
-                              batch_size=batch_size, num_cpus=0.5,
-                              max_restarts=0)
+    batch_size is the knob that must fit the worker heap."""
+    return wav_ds.map_batches(per_task(AudioFeatures), batch_format="pyarrow",
+                              batch_size=batch_size)
 
 
 # -- Image: real PNG decode -> dHash perceptual fingerprint ----------------------
@@ -426,7 +424,7 @@ def synth_png(doc_id: int, n_seeds: int = 97) -> bytes:
 
 
 class ImageDHash:
-    """Actor-pool dHash fingerprinter: stdlib PNG decode
+    """Per-batch dHash fingerprinter: stdlib PNG decode
     (:func:`decode_png`) -> exact 4x4 integer block sums -> row-major
     adjacent-compare bits (``sum[bx] > sum[bx+1]``, the classic dHash but
     on sums so there is NO division) -> 64-bit fingerprint split into two
@@ -461,14 +459,12 @@ class ImageDHash:
         })
 
 
-def image_dhash(png_ds, concurrency=(2, 8), batch_size: int = 64):
+def image_dhash(png_ds, batch_size: int = 64):
     """Distributed perceptual fingerprints over a (doc_id, png) Dataset.
     Same multimodal sizing rule as :func:`audio_features`: blobs dominate
-    batch memory, so batch_size x concurrency is the heap knob."""
-    return png_ds.map_batches(ImageDHash, batch_format="pyarrow",
-                              concurrency=concurrency,
-                              batch_size=batch_size, num_cpus=0.5,
-                              max_restarts=0)
+    batch memory, so batch_size is the heap knob."""
+    return png_ds.map_batches(per_task(ImageDHash), batch_format="pyarrow",
+                              batch_size=batch_size)
 
 
 def image_dup_groups(png_ds, **kw):
@@ -607,7 +603,7 @@ def decode_apng(body: bytes):
 
 
 class VideoFrameDHash:
-    """Actor-pool video frame sampler: decode the APNG container, keep
+    """Per-batch video frame sampler: decode the APNG container, keep
     every ``stride``-th frame, fingerprint each kept frame with the same
     integer dHash as the still-image path. Emits one row per SAMPLED
     frame — (doc_id, frame_idx, n_frames, duration_ms, dhash_hi,
@@ -642,16 +638,12 @@ class VideoFrameDHash:
         })
 
 
-def video_frame_dhash(video_ds, stride: int = 2, concurrency=(2, 8),
-                      batch_size: int = 16):
+def video_frame_dhash(video_ds, stride: int = 2, batch_size: int = 16):
     """Distributed frame-sampled fingerprints over a (doc_id, video)
     Dataset. Video blobs are the largest multimodal payloads — the
     default batch_size is deliberately the smallest of the media stages."""
-    return video_ds.map_batches(VideoFrameDHash, batch_format="pyarrow",
-                                fn_constructor_kwargs=dict(stride=stride),
-                                concurrency=concurrency,
-                                batch_size=batch_size, num_cpus=0.5,
-                                max_restarts=0)
+    return video_ds.map_batches(per_task(VideoFrameDHash, stride=stride),
+                                batch_format="pyarrow", batch_size=batch_size)
 
 
 # ---------------------------------------------------------------------------

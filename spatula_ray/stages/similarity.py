@@ -1,12 +1,12 @@
 """Similarity search over an embedding column (list<float>).
 
 * brute-force cosine top-k — baseline: the query matrix ships once per
-  actor as a constructor value (Ray auto-puts large args in the object
-  store, so this is the broadcast pattern either way; by-value keeps
-  restarts reconstructible — ray#53727), each batch computes sims with a
-  double-precision matmul and emits per-batch top-k candidates; a final
-  tiny groupby reduces to global top-k. Exactly reproducible in SQL
-  (double-precision inner products, 1e-5 snap, id tie-breaks).
+  operator inside the map function (:func:`per_task`; Ray Data puts the
+  function in the object store, so this is the broadcast pattern), each
+  batch computes sims with a double-precision matmul and emits per-batch
+  top-k candidates; a final tiny groupby reduces to global top-k.
+  Exactly reproducible in SQL (double-precision inner products, 1e-5
+  snap, id tie-breaks).
 * LSH-bucketed ANN — integer-grid sign-plane signatures bucket the
   corpus; queries probe only their bucket (+ multiprobe neighbors).
 * IVF ANN — integer-grid spherical k-means cells, nprobe routing.
@@ -28,6 +28,7 @@ from typing import Optional
 import numpy as np
 import pyarrow as pa
 
+from . import per_task
 
 
 def _list_col_to_matrix(col: "pa.ChunkedArray | pa.Array") -> np.ndarray:
@@ -57,8 +58,8 @@ def _int_col(col) -> np.ndarray:
 
 
 class CosineTopK:
-    """map_batches actor: holds the normalized query matrix (shipped once
-    per actor as a constructor value)."""
+    """map_batches stage class: holds the normalized query matrix (built
+    once per task from the constructor value)."""
 
     def __init__(self, queries: np.ndarray, k: int = 10):
         q = np.asarray(queries, dtype=np.float64)
@@ -96,8 +97,8 @@ class CosineTopK:
 
 def topk_cosine(ds, queries: np.ndarray, k: int = 10,
                 exclude_ids: Optional[set] = None,
-                self_ids: Optional[list] = None, concurrency: int = 2):
-    """Global top-k per query: per-batch partial top-k (actor pool) then a
+                self_ids: Optional[list] = None):
+    """Global top-k per query: per-batch partial top-k (task stage) then a
     small groupby reduce. Returns (query_id, vec_id, score rounded 5dp).
     ``self_ids[qi]`` excludes that vec from query qi's results (self-match);
     ``exclude_ids`` excludes globally.
@@ -110,12 +111,10 @@ def topk_cosine(ds, queries: np.ndarray, k: int = 10,
         raise ValueError("topk_cosine: len(self_ids) must equal the "
                          "number of queries")
     pad = (1 if self_ids is not None else 0) + len(exclude_ids or ())
-    cand = ds.map_batches(CosineTopK,
-                          fn_constructor_kwargs=dict(
-                              queries=np.asarray(queries, dtype=np.float64),
-                              k=k + pad),
-                          batch_format="pyarrow", concurrency=concurrency,
-                          num_cpus=0.5, max_restarts=0)
+    cand = ds.map_batches(
+        per_task(CosineTopK, queries=np.asarray(queries, dtype=np.float64),
+                 k=k + pad),
+        batch_format="pyarrow")
     excl = exclude_ids or set()
 
     def reduce_group(g: pd.DataFrame) -> pd.DataFrame:
@@ -225,11 +224,11 @@ class HashSignLSH:
 
 
 class _BucketScorer:
-    """map_batches actor for LSH ANN: holds the normalized query matrix and
-    each query's probe-bucket set; per batch computes each query's partial
-    top-k over the batch rows that fall in its probes. A final small
-    groupby(query_id) reduce produces the global top-k — no driver-side
-    scan (round-1 verdict fix #3)."""
+    """map_batches stage class for LSH ANN: holds the normalized query
+    matrix and each query's probe-bucket set; per batch computes each
+    query's partial top-k over the batch rows that fall in its probes. A
+    final small groupby(query_id) reduce produces the global top-k — no
+    driver-side scan (round-1 verdict fix #3)."""
 
     def __init__(self, qn_mat, probe_buckets, k: int):
         self.qn_mat = np.asarray(qn_mat)
@@ -308,17 +307,19 @@ def _sample_matrix(ds, sample: int, q_scale: int,
                    id_col: str = "vec_id") -> np.ndarray:
     """The bounded deterministic training sample every quantizer trainer
     shares (kmeans_centroids / pq_codebooks / ivfadc_ann_topk): first
-    ``sample`` rows by ``id_col``, quantized to the integer grid. One
-    driver-side fetch of O(sample x dim), never O(corpus).
+    ``sample`` rows by ``id_col`` — the oracle's ``ORDER BY id LIMIT
+    sample`` — quantized to the integer grid, whatever the input's row
+    order. Each batch keeps its ``sample`` smallest ids and the driver
+    merges those partials: one fetch of O(batches x sample x dim), never
+    O(corpus)."""
+    def smallest(t: pa.Table) -> pa.Table:
+        return t.take(np.argsort(_int_col(t[id_col]), kind="stable")[:sample])
 
-    PRECONDITION: ``ds`` must be ``id_col``-ordered (parquet fixtures
-    are) — ``limit()`` takes scan order, and the sort only orders the
-    limited subset; an unordered input trains on a different sample
-    than the oracle's ``ORDER BY id LIMIT sample`` and diverges. Sort
-    upstream (or use a minibatch trainer) for shuffled inputs."""
-    rows = ds.select_columns([id_col, emb_col]).limit(sample).take_all()
+    rows = ds.select_columns([id_col, emb_col]).map_batches(
+        smallest, batch_format="pyarrow").take_all()
     rows.sort(key=lambda r: r[id_col])
-    mat = np.asarray([list(r[emb_col]) for r in rows], dtype=np.float64)
+    mat = np.asarray([list(r[emb_col]) for r in rows[:sample]],
+                     dtype=np.float64)
     return _quantize(mat, q_scale)
 
 
@@ -414,11 +415,11 @@ def kmeans_centroids(ds, n_cells: int = 16, sample: int = 2048,
 
 def ivf_ann_topk(ds, queries: np.ndarray, k: int = 10, n_cells: int = 16,
                  nprobe: int = 4, sample: int = 2048, iters: int = 5,
-                 q_scale: int = 1000, concurrency: int = 2):
+                 q_scale: int = 1000):
     """IVF-style approximate top-k: corpus vectors are assigned to their
     nearest k-means centroid cell (one vectorized argmax per batch); each
     query scans only its ``nprobe`` nearest cells. Same distributed shape
-    as :func:`lsh_ann_topk` — per-batch partial top-k in an actor pool,
+    as :func:`lsh_ann_topk` — per-batch partial top-k in a task stage,
     tiny groupby reduce, nothing materializes on the driver. Approximate;
     validated by a recall test against :func:`topk_cosine` AND an exact
     DuckDB oracle: training/assignment/probing run on an integer grid
@@ -462,23 +463,21 @@ def ivf_ann_topk(ds, queries: np.ndarray, k: int = 10, n_cells: int = 16,
         assign, batch_format="pyarrow")
 
     cand = pruned.map_batches(
-        _BucketScorer,
-        fn_constructor_kwargs=dict(qn_mat=qn_mat, probe_buckets=probe_cells,
-                                   k=k),
-        batch_format="pyarrow", concurrency=concurrency, num_cpus=0.5,
-        max_restarts=0)
+        per_task(_BucketScorer, qn_mat=qn_mat, probe_buckets=probe_cells,
+                 k=k),
+        batch_format="pyarrow")
 
     return cand.groupby("query_id").map_groups(
         _topk_reduce(k, "score", snap5=True), batch_format="pandas")
 
 
 def lsh_ann_topk(ds, queries: np.ndarray, k: int = 10, n_planes: int = 8,
-                 seed: int = 42, multiprobe: int = 1, concurrency: int = 2):
+                 seed: int = 42, multiprobe: int = 1):
     """Approximate top-k: corpus bucketed by sign-plane signature
     (:class:`HashSignLSH`, hash-derived +-1 planes so the DuckDB oracle can
     reproduce the buckets exactly); each query scans only its bucket and
     bit-flip neighbors (multiprobe radius 1 or 2). Scoring is distributed:
-    per-batch partial top-k in an actor pool, then a tiny groupby reduce —
+    per-batch partial top-k in a task stage, then a tiny groupby reduce —
     the pruned corpus never materializes on the driver.
 
     ``seed`` is accepted for API stability but unused (the planes are a
@@ -521,11 +520,9 @@ def lsh_ann_topk(ds, queries: np.ndarray, k: int = 10, n_planes: int = 8,
         bucketize, batch_format="pyarrow")
 
     cand = pruned.map_batches(
-        _BucketScorer,
-        fn_constructor_kwargs=dict(qn_mat=qn_mat,
-                                   probe_buckets=probe_buckets, k=k),
-        batch_format="pyarrow", concurrency=concurrency, num_cpus=0.5,
-        max_restarts=0)
+        per_task(_BucketScorer, qn_mat=qn_mat, probe_buckets=probe_buckets,
+                 k=k),
+        batch_format="pyarrow")
 
     return cand.groupby("query_id").map_groups(
         _topk_reduce(k, "score", snap5=True), batch_format="pandas")
@@ -587,7 +584,7 @@ def _pq_train(xi: np.ndarray, m: int, n_cells: int, iters: int):
 
 
 class _ADCScorer:
-    """map_batches actor for PQ ANN: holds the codebooks and each query's
+    """map_batches stage class for PQ ANN: holds the codebooks and each query's
     per-subspace lookup table (LUT[s][q, cell] = integer inner product of
     the query's subvector with that cell centroid); per batch encodes the
     rows to PQ codes and emits each query's partial top-k by asymmetric
@@ -629,7 +626,7 @@ class _ADCScorer:
 
 def pq_ann_topk(ds, queries: np.ndarray, k: int = 10, m: int = 4,
                 n_cells: int = 16, sample: int = 2048, iters: int = 3,
-                q_scale: int = 1000, concurrency: int = 2):
+                q_scale: int = 1000):
     """PQ/ADC approximate top-k (Jégou et al. TPAMI'11 §III): corpus
     vectors are PQ-encoded on the fly (m small argmin matmuls per batch);
     each query precomputes one integer LUT per subspace and scores a
@@ -638,12 +635,12 @@ def pq_ann_topk(ds, queries: np.ndarray, k: int = 10, m: int = 4,
     vector is scored from its 8-byte code; compose with the IVF cell
     routing of :func:`ivf_ann_topk` for the nprobe-pruned variant).
 
-    Distributed shape: codebooks+LUTs broadcast once in the actor pool's
-    ``__init__``; per-batch partial top-k; one tiny groupby(query_id)
-    reduce. Scores are exact int64 (ties -> vec_id asc), so the DuckDB
-    oracle unrolling the same per-subspace Lloyd chains is bit-identical
-    — no float snapping needed. Validated additionally by a recall test
-    against :func:`topk_cosine`."""
+    Distributed shape: codebooks+LUTs broadcast once per operator and
+    unpacked once per task in ``__init__``; per-batch partial top-k; one
+    tiny groupby(query_id) reduce. Scores are exact int64 (ties -> vec_id
+    asc), so the DuckDB oracle unrolling the same per-subspace Lloyd
+    chains is bit-identical — no float snapping needed. Validated
+    additionally by a recall test against :func:`topk_cosine`."""
     import pandas as pd
 
     q = np.asarray(queries, dtype=np.float64)
@@ -655,18 +652,15 @@ def pq_ann_topk(ds, queries: np.ndarray, k: int = 10, m: int = 4,
             for sub in range(m)]
 
     cand = ds.select_columns(["vec_id", "embedding"]).map_batches(
-        _ADCScorer,
-        fn_constructor_kwargs=dict(books=books, luts=luts, k=k,
-                                   q_scale=q_scale),
-        batch_format="pyarrow", concurrency=concurrency, num_cpus=0.5,
-        max_restarts=0)
+        per_task(_ADCScorer, books=books, luts=luts, k=k, q_scale=q_scale),
+        batch_format="pyarrow")
 
     return cand.groupby("query_id").map_groups(
         _topk_reduce(k, "adc_score"), batch_format="pandas")
 
 
 class _IVFADCScorer:
-    """map_batches actor for IVFADC: coarse-assigns each batch row (the
+    """map_batches stage class for IVFADC: coarse-assigns each batch row (the
     :func:`kmeans_centroids` integer-IP argmax), drops rows outside the
     union of the queries' probe cells, PQ-encodes the integer residual,
     and scores ``ip(q, coarse_cell) + sum_s LUT[s][code_s]`` — all
@@ -728,7 +722,7 @@ def ivfadc_ann_topk(ds, queries: np.ndarray, k: int = 10,
                     n_coarse: int = 16, nprobe: int = 4, m: int = 16,
                     n_cells: int = 16, sample: int = 2048,
                     coarse_iters: int = 5, pq_iters: int = 3,
-                    q_scale: int = 1000, concurrency: int = 2):
+                    q_scale: int = 1000):
     """IVFADC (Jégou et al. TPAMI'11 §IV — the actual billion-scale
     system, and the FAISS default): a coarse IVF quantizer routes each
     vector to a cell and prunes the scan to each query's ``nprobe``
@@ -745,7 +739,8 @@ def ivfadc_ann_topk(ds, queries: np.ndarray, k: int = 10,
     the exact grid and the DuckDB oracle (coarse chain + per-subspace
     residual chains) is bit-identical with int64 scores, no float
     snapping. Distributed shape: centroids/codebooks/LUTs broadcast
-    once in actor ``__init__``; per-batch assign+encode+partial-top-k;
+    once per operator, unpacked once per task in ``__init__``; per-batch
+    assign+encode+partial-top-k;
     one tiny groupby(query_id) reduce."""
     import pandas as pd
 
@@ -769,22 +764,19 @@ def ivfadc_ann_topk(ds, queries: np.ndarray, k: int = 10,
             for sub in range(m)]
 
     cand = ds.select_columns(["vec_id", "embedding"]).map_batches(
-        _IVFADCScorer,
-        fn_constructor_kwargs=dict(coarse=coarse, books=books,
-                                   lut_coarse=lut_coarse, luts=luts,
-                                   probe_cells=probe_cells, k=k,
-                                   q_scale=q_scale),
-        batch_format="pyarrow", concurrency=concurrency, num_cpus=0.5,
-        max_restarts=0)
+        per_task(_IVFADCScorer, coarse=coarse, books=books,
+                 lut_coarse=lut_coarse, luts=luts, probe_cells=probe_cells,
+                 k=k, q_scale=q_scale),
+        batch_format="pyarrow")
 
     return cand.groupby("query_id").map_groups(
         _topk_reduce(k, "adc_score"), batch_format="pandas")
 
 
 class _JLProject:
-    """map_batches actor for :func:`jl_project`: builds the deterministic
-    ±1 sign matrix once per actor (md5 parity per (in-dim, out-dim)
-    cell — the repo's md5_number_lower convention), then one integer
+    """map_batches stage class for :func:`jl_project`: builds the
+    deterministic ±1 sign matrix once per task (md5 parity per (in-dim,
+    out-dim) cell — the repo's md5_number_lower convention), then one integer
     matmul per batch."""
 
     def __init__(self, out_dim: int, q_scale: int, emb_col: str,
@@ -826,8 +818,7 @@ class _JLProject:
 
 
 def jl_project(ds, out_dim: int = 8, q_scale: int = 1000,
-               emb_col: str = "embedding", id_col: str = "vec_id",
-               concurrency=(2, 8)):
+               emb_col: str = "embedding", id_col: str = "vec_id"):
     """Johnson-Lindenstrauss signed random projection (Achlioptas JCSS'03
     — the database-friendly ±1 variant of JL): project each quantized
     embedding onto ``out_dim`` deterministic ±1 directions. THE standard
@@ -839,15 +830,13 @@ def jl_project(ds, out_dim: int = 8, q_scale: int = 1000,
     Signs derive from md5 parity per (in-dim, out-dim) cell — the repo's
     ``md5_number_lower`` convention — so the DuckDB oracle reproduces
     the projection bit-for-bit in int64. Scale shape: sign matrix built
-    once per actor in ``__init__``-adjacent lazy init (O(dim*out_dim),
+    once per task on the first batch (O(dim*out_dim),
     never shipped), one integer matmul per batch, ZERO shuffle; output
     flattened ``(vec_id, dim, val)`` rows."""
     return ds.select_columns([id_col, emb_col]).map_batches(
-        _JLProject,
-        fn_constructor_kwargs=dict(out_dim=out_dim, q_scale=q_scale,
-                                   emb_col=emb_col, id_col=id_col),
-        batch_format="pyarrow", concurrency=concurrency, num_cpus=0.5,
-        max_restarts=0)
+        per_task(_JLProject, out_dim=out_dim, q_scale=q_scale,
+                 emb_col=emb_col, id_col=id_col),
+        batch_format="pyarrow")
 
 
 def _grid_assign(t: pa.Table, cents: np.ndarray, q_scale: int,

@@ -1,9 +1,10 @@
 """Text-analysis stages over a documents table.
 
-Each stage is a callable class for ``map_batches(Cls, concurrency=N)`` —
-regexes and marker tables compile once per actor in ``__init__``, work is
-per batch. Definitions are chosen to be exactly reproducible in ANSI SQL
-(DuckDB) for the correctness gate where claimed.
+Each stage is a callable class run as plain Ray Data tasks through
+``map_batches(per_task(Cls))`` — regexes and marker tables compile once
+per task in ``__init__``, work is per batch. Definitions are chosen to
+be exactly reproducible in ANSI SQL (DuckDB) for the correctness gate
+where claimed.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ from typing import List
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+
+from . import per_task
 
 
 class TextStats:
@@ -324,7 +327,7 @@ class MainContentExtract:
     text (stripped text nodes joined by single spaces). The classic
     boilerplate-vs-content split (navs/footers/ads are link-dense and
     score negative; article prose scores its own length), implemented
-    as an actor-pool stage: the DOM machinery is per-actor state, work
+    as a task stage: the DOM machinery is built once per task, work
     is per batch.
 
     Emits ``(doc_id, main_text, score)`` with document order breaking
@@ -384,20 +387,18 @@ class MainContentExtract:
         })
 
 
-def extract_main_content(html_ds, concurrency=(2, 8), batch_size: int = 64):
+def extract_main_content(html_ds, batch_size: int = 64):
     """Distributed main-content extraction over an (doc_id, html)
     Dataset — the boilerplate-removal step between fetch and text
     curation in a crawl pipeline."""
-    return html_ds.map_batches(MainContentExtract, batch_format="pyarrow",
-                               concurrency=concurrency,
-                               batch_size=batch_size, num_cpus=0.5,
-                               max_restarts=0)
+    return html_ds.map_batches(per_task(MainContentExtract),
+                               batch_format="pyarrow", batch_size=batch_size)
 
 
 class SpanLangId(LangId):
     """Per-SPAN language ID over interleaved span tables
     ``(doc_id, seq, text)`` — same marker-word kernel as :class:`LangId`
-    (state compiled once per actor), emitting one prediction per span."""
+    (state compiled once per task), emitting one prediction per span."""
 
     def __call__(self, batch: pa.Table) -> pa.Table:  # noqa: D102
         preds = [self.predict(t or "")[0]
@@ -411,7 +412,7 @@ class SpanLangId(LangId):
 
 def span_langid_majority(span_ds, num_buckets: int = 32):
     """Document-level language from per-span votes: classify every text
-    span independently (:class:`SpanLangId` actor pool), then elect the
+    span independently (:class:`SpanLangId` task stage), then elect the
     majority language per document — highest span count, ties broken by
     lexicographically smallest language (the deterministic convention a
     SQL mirror can reproduce). The per-span pass is what a mixed-language
@@ -424,9 +425,7 @@ def span_langid_majority(span_ds, num_buckets: int = 32):
     pandas groupby C paths."""
     import pandas as pd
 
-    preds = span_ds.map_batches(SpanLangId, batch_format="pyarrow",
-                                concurrency=(2, 8), num_cpus=0.5,
-                                max_restarts=0)
+    preds = span_ds.map_batches(per_task(SpanLangId), batch_format="pyarrow")
 
     def bucket(t: pa.Table) -> pa.Table:
         ids = t["doc_id"].to_numpy(zero_copy_only=False) \
@@ -653,7 +652,7 @@ class HashedLinearScore:
     token OCCURRENCES (bag semantics), keep = score > 0.
 
     This stage is the INFERENCE shape, the part that must scale: the
-    weight table is built once per actor in ``__init__`` (at real scale
+    weight table is built once per task in ``__init__`` (at real scale
     it would load a trained model; here the table is the deterministic
     ``weight(b) = (b * 2654435761) % 1001 - 500`` in integer micro-units
     so the DuckDB oracle reproduces scores exactly), scoring is one
@@ -706,15 +705,13 @@ class HashedLinearScore:
 
 def hashed_linear_score(docs, n_bins: int = 256,
                         oracle_parity: bool = False,
-                        concurrency=(2, 8), batch_size: int = 256):
-    """Actor-pool wrapper for :class:`HashedLinearScore` (weights built
-    once per actor)."""
+                        batch_size: int = 256):
+    """Task-stage wrapper for :class:`HashedLinearScore` (weights built
+    once per task)."""
     return docs.map_batches(
-        HashedLinearScore,
-        fn_constructor_kwargs=dict(n_bins=n_bins,
-                                   oracle_parity=oracle_parity),
-        concurrency=concurrency, batch_size=batch_size,
-        batch_format="pyarrow", max_restarts=0)
+        per_task(HashedLinearScore, n_bins=n_bins,
+                 oracle_parity=oracle_parity),
+        batch_size=batch_size, batch_format="pyarrow")
 
 
 def readability_stats(docs, text_col: str = "text"):

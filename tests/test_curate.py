@@ -8,7 +8,7 @@ import pandas as pd
 import pyarrow as pa
 import pytest
 
-from spatula_ray.stages import curate
+from spatula_ray.stages import curate, per_task
 
 
 def _ds(table: pa.Table, parallelism=4):
@@ -94,8 +94,8 @@ def test_pack_sequences_matches_naive():
 def test_repetition_stats_edges():
     t = pa.table({"doc_id": pa.array([0, 1, 2, 3], type=pa.int64()),
                   "text": pa.array(["", "solo", "a a a", "a b a b"])})
-    out = (_ds(t, 1).map_batches(curate.RepetitionStats,
-                                 batch_format="pyarrow", concurrency=2)
+    out = (_ds(t, 1).map_batches(per_task(curate.RepetitionStats),
+                                 batch_format="pyarrow")
            .to_pandas().sort_values("doc_id").reset_index(drop=True))
     # "" -> 1 token ([''])
     assert out.loc[0, "top_token_frac"] == 1.0
@@ -124,10 +124,9 @@ def test_decontaminate_overlap_and_flag():
         "text": pa.array(["a b c d", "z a b c q", "a b"]),
     })
     out = (_ds(train, 2)
-           .map_batches(curate.Decontaminate,
-                        fn_constructor_kwargs={"eval_shingles": ev,
-                                               "threshold": 0.5},
-                        batch_format="pyarrow", concurrency=2)
+           .map_batches(per_task(curate.Decontaminate, eval_shingles=ev,
+                                 threshold=0.5),
+                        batch_format="pyarrow")
            .to_pandas().sort_values("doc_id").reset_index(drop=True))
     assert list(out["n_shingles"]) == [2, 3, 1]
     assert list(out["overlap"]) == [2, 1, 0]
@@ -298,18 +297,14 @@ def test_decontaminate_sharded_matches_broadcast():
     ev = docs.limit(8).materialize()
 
     bc = docs.map_batches(
-        Decontaminate,
-        fn_constructor_kwargs={"eval_shingles": ray.put(eval_shingle_set(ev)),
-                               "threshold": 0.5},
-        batch_format="pyarrow", concurrency=2, num_cpus=0.5,
-        max_restarts=0).to_pandas().sort_values("doc_id") \
+        per_task(Decontaminate, eval_shingles=ray.put(eval_shingle_set(ev)),
+                 threshold=0.5),
+        batch_format="pyarrow").to_pandas().sort_values("doc_id") \
         .reset_index(drop=True)
     shards = build_membership_shards(ev, n_shards=3)
     sh = docs.map_batches(
-        DecontaminateSharded,
-        fn_constructor_kwargs={"shards": shards, "threshold": 0.5},
-        batch_format="pyarrow", concurrency=2, num_cpus=0.5,
-        max_restarts=0).to_pandas().sort_values("doc_id") \
+        per_task(DecontaminateSharded, shards=shards, threshold=0.5),
+        batch_format="pyarrow").to_pandas().sort_values("doc_id") \
         .reset_index(drop=True)
     pd.testing.assert_frame_equal(bc, sh)
     assert bc["contaminated"].sum() > 0     # the fixture overlaps

@@ -105,6 +105,17 @@ def test_crawl_budget_allocation_range_contract():
         crawl_budget_allocation(ds, budget=2**23).to_pandas()
 
 
+@pytest.mark.usefixtures("ray_session")
+def test_crawl_budget_allocation_rejects_duplicate_host():
+    """Two rows for one host would get two quotas; the host's rows share a
+    prefix bucket, so the per-bucket kernel names it."""
+    from spatula_ray.stages.ingest import crawl_budget_allocation
+
+    ds = _hosts_ds([("a.test", 3), ("b.test", 5), ("a.test", 2)])
+    with pytest.raises(ValueError, match="duplicate host 'a.test'"):
+        crawl_budget_allocation(ds, budget=10).to_pandas()
+
+
 def _emb_ds(mat):
     return ray.data.from_arrow(pa.table({
         "vec_id": pa.array(np.arange(len(mat), dtype=np.int64)),
@@ -204,6 +215,42 @@ def test_jl_project_deterministic_and_duplicate_preserving():
     c1 = out.sort_values(["vec_id", "dim"]).reset_index(drop=True)
     c2 = out2.sort_values(["vec_id", "dim"]).reset_index(drop=True)
     assert c1.equals(c2)                         # run-to-run determinism
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_quantizer_training_ignores_row_order():
+    """kmeans_centroids, pq_codebooks and ivfadc_ann_topk train on the
+    first ``sample`` rows by id: a shuffled input, with ``sample`` below
+    the row count, must train the same tables and return the same
+    neighbours as the id-ordered one."""
+    import pandas as pd
+
+    from spatula_ray.stages.similarity import (
+        ivfadc_ann_topk,
+        kmeans_centroids,
+        pq_codebooks,
+    )
+
+    rng = np.random.RandomState(41)
+    mat = rng.standard_normal((200, 16))
+    ordered = _emb_ds(mat)
+    shuffled = ordered.repartition(4).random_shuffle(seed=7).materialize()
+    assert [r["vec_id"] for r in shuffled.take(64)] != list(range(64))
+
+    np.testing.assert_array_equal(
+        kmeans_centroids(ordered, n_cells=4, sample=64),
+        kmeans_centroids(shuffled, n_cells=4, sample=64))
+    for a, b in zip(pq_codebooks(ordered, m=4, n_cells=4, sample=64),
+                    pq_codebooks(shuffled, m=4, n_cells=4, sample=64)):
+        np.testing.assert_array_equal(a, b)
+
+    def top(ds):
+        return ivfadc_ann_topk(ds, mat[[3, 120]], k=5, n_coarse=4,
+                               nprobe=2, m=4, n_cells=4, sample=64) \
+            .to_pandas().sort_values(["query_id", "vec_id"]) \
+            .reset_index(drop=True)
+
+    pd.testing.assert_frame_equal(top(ordered), top(shuffled))
 
 
 @pytest.mark.usefixtures("ray_session")

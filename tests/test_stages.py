@@ -6,6 +6,8 @@ import pandas as pd
 import pyarrow as pa
 import pytest
 
+from spatula_ray.stages import per_task
+
 SF = "/root/testdata/sf0.001"
 
 
@@ -253,8 +255,8 @@ def test_value_quantiles_disc_convention():
 def test_text_stats_basics():
     from spatula_ray.stages.text import TextStats
 
-    out = docs_ds(50).map_batches(TextStats, batch_format="pyarrow",
-                                  concurrency=1).to_pandas()
+    out = docs_ds(50).map_batches(per_task(TextStats),
+                                  batch_format="pyarrow").to_pandas()
     assert (out["n_tokens"] >= out["n_unique_tokens"]).all()
     assert (out["ttr"] <= 1.0).all() and (out["ttr"] > 0).all()
     assert out["fingerprint"].str.len().eq(32).all()
@@ -264,10 +266,10 @@ def test_text_stats_basics():
 def test_langid_runs_deterministically():
     from spatula_ray.stages.text import LangId
 
-    a = docs_ds(50).map_batches(LangId, batch_format="pyarrow",
-                                concurrency=1).to_pandas()
-    b = docs_ds(50).map_batches(LangId, batch_format="pyarrow",
-                                concurrency=1).to_pandas()
+    a = docs_ds(50).map_batches(per_task(LangId),
+                                batch_format="pyarrow").to_pandas()
+    b = docs_ds(50).map_batches(per_task(LangId),
+                                batch_format="pyarrow").to_pandas()
     pd.testing.assert_frame_equal(a.sort_values("doc_id").reset_index(drop=True),
                                   b.sort_values("doc_id").reset_index(drop=True))
 
@@ -292,7 +294,7 @@ def test_multimodal_plumbing():
         "content_type": ["image/fake"] * 10,
     }
     ds = rd.from_arrow(pa.Table.from_pydict(rows, schema=MEDIA_SCHEMA))
-    out = extract_media_features(ds, concurrency=1).to_pandas()
+    out = extract_media_features(ds).to_pandas()
     assert len(out) == 10
     assert (out["width"] >= 16).all()
     assert out["features"].map(len).eq(16).all()
@@ -819,13 +821,13 @@ def test_bloom_decontaminate_no_false_negatives():
         "text": pa.array(tr_texts)}))
 
     exact = tr.map_batches(
-        Decontaminate, fn_constructor_kwargs={
-            "eval_shingles": eval_shingle_set(ev), "threshold": 0.5},
-        batch_format="pyarrow", concurrency=1, max_restarts=0).to_pandas()
+        per_task(Decontaminate, eval_shingles=eval_shingle_set(ev),
+                 threshold=0.5),
+        batch_format="pyarrow").to_pandas()
     bits = bloom_bits(ev)
     bloom = tr.map_batches(
-        BloomDecontaminate, fn_constructor_kwargs={"bits": ray.put(bits)},
-        batch_format="pyarrow", concurrency=1, max_restarts=0).to_pandas()
+        per_task(BloomDecontaminate, bits=ray.put(bits)),
+        batch_format="pyarrow").to_pandas()
     m = exact.merge(bloom, on="doc_id", suffixes=("_e", "_b"))
     flagged_exact = m[m["overlap"] > 0]
     assert (flagged_exact["bloom_hits"] >= flagged_exact["overlap"]).all()
