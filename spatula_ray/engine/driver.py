@@ -64,6 +64,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
+from ..config import cluster_cpus
 from ..model import Page
 from .cuckoo import SeenFilterShard
 from .hostgate import HostGate
@@ -505,7 +506,7 @@ def crawl(seeds: Sequence[Page], registry: Dict[str, type],
     import ray
 
     cfg = config or CrawlConfig()
-    ncpu_total = max(1, int(ray.cluster_resources().get("CPU", 32)))
+    ncpu_total = cluster_cpus()
     state = _start_state_hosts(cfg, ncpu_total)
     try:
         return _crawl(seeds, registry, resolver_factory, cfg, state,

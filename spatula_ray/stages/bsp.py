@@ -1,631 +1,324 @@
-"""Fused BSP execution for the iterative graph operators — the round-4
-verdict's fix #2 (the per-iteration Dataset-execution floor).
+"""Bulk-synchronous (BSP) engine for the iterative graph operators in
+:mod:`graph`: PageRank (plain and weighted), HITS, HyperBall and
+redirect resolution.
 
-The Dataset implementations in :mod:`graph` pay ~2 sort-groupby
-executions PER ITERATION: the data cost is invisible at every measured
-scale, but each execution carries a fixed scheduling floor, so a
-5-iteration PageRank costs ~25 s of pure orchestration. This module
-keeps the (node, state) partitions ACTOR-RESIDENT across iterations —
-the "hold partitions resident" option from the verdict — so the whole
-power iteration runs as ONE load exchange plus per-iteration actor
-message rounds (a classic driver-coordinated BSP superstep), with zero
-Dataset executions inside the loop.
+A call starts one zero-CPU shard actor per cluster CPU, loads the input
+into them with ONE Dataset sort exchange (each shard receives every row
+whose key hashes to it), then runs the whole iteration as
+driver-coordinated message rounds between the resident shards, with no
+Dataset execution inside the loop. The shards live for that one call: the
+result is gathered and the actors are killed before the operator returns.
 
-Exactness: every update is the SAME integer arithmetic as the Dataset
-path (sums/maxes of int64 are order-independent), so outputs are
-bit-identical — the DuckDB oracles and the `engine="dataset"` path stay
-the cross-checks (asserted in tests/test_round5.py).
+Exactness: every update is integer arithmetic (sums and maxes of int64,
+floor divisions), which no message order can change, so the output is the
+same for any shard count. The DuckDB oracles and the serial references in
+the tests are the cross-checks.
 
-Partitioning/memory contract (documented for the 100 TB regime): shard
-``b`` of ``num_buckets`` holds the edges whose KEY (src for pagerank,
-dst for hyperball) hashes to ``b`` (16-24 bytes/edge) plus its node
-states — per-shard memory is O(|E|/B + |V|/B), so ``num_buckets`` must
-scale with the graph (4096 shards hold a 10^12-edge graph at ~4 GB
-each). Skewed keys cost a hot shard, the same contract as the Dataset
-path's hot reduce key. The Dataset engines remain available
-(``engine="dataset"``) as the spill-friendly path when resident state
-cannot fit.
+Partitioning and memory contract: shard ``b`` of ``B`` (``B`` = cluster
+CPUs) holds the edges whose KEY (src for pagerank, dst for hyperball)
+hashes to ``b`` plus the states of the nodes that hash to ``b``: 32 bytes
+per edge (40 weighted, 64 for HITS, which keeps both directions) and 24
+bytes per node (``8 * 2**p`` for HyperBall's registers), so per-shard
+memory is O((|E| + |V|) / CPUs). A skewed key costs one hot shard.
 
-Shards are ZERO-CPU actors: they run short vectorized bursts strictly
-between driver barriers, so reserving CPU slots would only starve the
-load exchange's Dataset tasks (32 shards x 0.25 cpu deadlocked an
-8-cpu session against its own groupby load — measured, not
-theoretical). Concurrency is bounded by B and the barrier structure.
+Shards ask for no CPU: they run short vectorized bursts strictly between
+driver barriers, so reserving CPU slots would only starve the load
+exchange's Dataset tasks (32 shards x 0.25 CPU once deadlocked an 8-CPU
+session against its own groupby load).
 
-Per-iteration message volume equals the Dataset path's exchange volume
-(per-dst partial sums / per-src register maxima — never raw edges), cut
-into B x B point-to-point objects through the object store, which is
-exactly the shuffle a multi-node cluster would do anyway — minus the
-per-execution scheduling round-trips.
+A round's message volume is per-dst partial sums or per-src register
+maxima (never raw edges), cut into B x B point-to-point objects through
+the object store, which is the shuffle a multi-node cluster would do
+anyway, minus the per-execution scheduling round-trips.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 import pyarrow as pa
 
-SCALE = 10 ** 9
 
-
-def _mix_bucket(vals: np.ndarray, num_buckets: int) -> np.ndarray:
-    """Exact numpy mirror of joins._bucket_of for a single key column:
-    int64 keys go straight in; anything else arrives pre-hashed by
-    pandas' hash_array (the caller does that). Keep in lockstep with
-    joins._bucket_of or resident partitions stop matching the Dataset
-    engines' buckets."""
+def _bucket_i64(vals: np.ndarray, num_buckets: int) -> np.ndarray:
+    """Shard of each int64 key: a multiply-mix of the key, mod B. The one
+    routing hash of this module: loads and messages both use it."""
     with np.errstate(over="ignore"):
-        v = vals.astype(np.uint64)
+        v = np.asarray(vals, dtype=np.int64).astype(np.uint64)
         v = v ^ (v >> np.uint64(33))
         v = v * np.uint64(0xFF51AFD7ED558CCD)
         return (v % np.uint64(num_buckets)).astype(np.int64)
 
 
-def _bucket_i64(vals: np.ndarray, num_buckets: int) -> np.ndarray:
-    return _mix_bucket(np.asarray(vals, dtype=np.int64), num_buckets)
-
-
 def _bucket_str(vals: np.ndarray, num_buckets: int) -> np.ndarray:
+    """Shard of each string key: pandas' fixed-key ``hash_array`` (the
+    same in every process), then the int64 mix."""
     import pandas as pd
 
-    return _mix_bucket(pd.util.hash_array(np.asarray(vals, dtype=object)),
-                       num_buckets)
+    h = pd.util.hash_array(np.asarray(vals, dtype=object))
+    return _bucket_i64(h.view(np.int64), num_buckets)
 
 
 def _i64(x) -> pa.Array:
     return pa.array(np.asarray(x, dtype=np.int64))
 
 
-def _load_by_bucket(tagged_ds, shards, loader_method: str, cols):
-    """One sort exchange: group the tagged Dataset by __bucket and push
-    each COMPLETE bucket group into its resident shard (idempotent
-    replace, so a retried group task cannot double-load). Returns after
-    the receipt dataset fully executes."""
+def int_columns(*names):
+    """Load projection for the integer graphs: the named columns as
+    int64."""
+    return lambda t: pa.table({c: t[c].cast(pa.int64()) for c in names})
 
-    handles = list(shards)
+
+@contextmanager
+def started(shard_cls, *args):
+    """One zero-CPU ``shard_cls(b, B, *args)`` actor per cluster CPU,
+    killed when the block exits."""
+    import ray
+
+    from ..config import cluster_cpus
+
+    n = cluster_cpus()
+    actor = ray.remote(shard_cls).options(num_cpus=0)
+    shards = [actor.remote(b, n, *args) for b in range(n)]
+    try:
+        yield shards
+    finally:
+        for s in shards:
+            ray.kill(s)
+
+
+def load(edges, shards, loader: str, project, key: str):
+    """One sort exchange: ``project`` each batch to the shard's columns,
+    tag each row with the shard of its ``key`` column, and push every
+    shard's COMPLETE row group into it with ``loader`` (a replace, so a
+    retried group task cannot load twice). Returns after the exchange has
+    fully executed."""
+    B = len(shards)
+
+    def tag(t: pa.Table) -> pa.Table:
+        out = project(t)
+        k = out[key].to_numpy(zero_copy_only=False)
+        bucket = _bucket_i64(k, B) if k.dtype.kind in "iu" \
+            else _bucket_str(k, B)
+        return out.append_column("__bucket", _i64(bucket))
 
     def push(g: pa.Table) -> pa.Table:
         import ray
 
         b = int(g["__bucket"][0].as_py())
-        arrays = [g[c].to_numpy(zero_copy_only=False) for c in cols]
-        ray.get(getattr(handles[b], loader_method).remote(*arrays))
-        return pa.table({"b": pa.array([b], type=pa.int64())})
+        arrays = [g[c].to_numpy(zero_copy_only=False)
+                  for c in g.column_names if c != "__bucket"]
+        ray.get(getattr(shards[b], loader).remote(*arrays))
+        return pa.table({"b": _i64([b])})
 
-    n = tagged_ds.groupby("__bucket").map_groups(
-        push, batch_format="pyarrow").count()
-    return n
+    edges.map_batches(tag, batch_format="pyarrow") \
+        .groupby("__bucket").map_groups(push, batch_format="pyarrow").count()
 
 
-def _collect(shards, method: str = "state_table"):
+def init_nodes(shards, num_nodes: int):
+    """Give every shard its slice of the nodes ``0..num_nodes-1``, after
+    checking that every loaded edge endpoint is one of them."""
+    import ray
+
+    bad = [v for v in ray.get([s.init_nodes.remote(num_nodes)
+                               for s in shards]) if v is not None]
+    if bad:
+        raise ValueError(f"edge endpoint {bad[0]} is not a node id: ids "
+                         f"must lie in [0, num_nodes) with "
+                         f"num_nodes={num_nodes}")
+
+
+def exchange(shards, method: str, inbox=None):
+    """One all-to-all message round: shard ``b`` runs
+    ``method(*inbox[b])`` and returns one part per shard. Entry ``j`` of
+    the result lists the parts addressed to shard ``j``, in sender
+    order."""
+    B = len(shards)
+    inbox = inbox or [()] * B
+    sent = [s.parts.options(num_returns=B).remote(method, *msgs)
+            for s, msgs in zip(shards, inbox)]
+    if B == 1:
+        sent = [[r] for r in sent]
+    return [[row[j] for row in sent] for j in range(B)]
+
+
+def deliver(shards, method: str, inbox):
+    """Shard ``j`` runs ``method(*inbox[j])``; returns the calls' refs."""
+    return [getattr(s, method).remote(*msgs)
+            for s, msgs in zip(shards, inbox)]
+
+
+def superstep(shards, *args):
+    """Every shard runs ``scatter(*args)``, which returns one part per
+    shard, then every shard ``gather``s the parts addressed to it.
+    Returns the gather results."""
+    import ray
+
+    sent = exchange(shards, "scatter", [args] * len(shards))
+    return ray.get(deliver(shards, "gather", sent))
+
+
+def collect(shards, method: str = "state_table", inbox=None):
     """Gather per-shard output tables into a Dataset. The driver owns
     the returned objects (actor-task returns are caller-owned), so the
-    shards can be killed immediately after the wait."""
+    shards can be killed as soon as this returns."""
     import ray
     import ray.data as rd
 
-    refs = [getattr(s, method).remote() for s in shards]
+    refs = deliver(shards, method, inbox or [()] * len(shards))
     ray.wait(refs, num_returns=len(refs))
-    ds = rd.from_arrow_refs(refs)
-    for s in shards:
-        ray.kill(s)
-    return ds
+    return rd.from_arrow_refs(refs)
+
+
+def _sum_by_key(keys, vals, key_bucket, nb):
+    """Per-key sums of ``vals``, one ``(keys, sums)`` part per shard of
+    the key."""
+    out = []
+    for j in range(nb):
+        sel = key_bucket == j
+        codes, inv = np.unique(keys[sel], return_inverse=True)
+        acc = np.zeros(len(codes), dtype=np.int64)
+        np.add.at(acc, inv, vals[sel])
+        out.append((codes, acc))
+    return out
+
+
+def _sum_into(nodes, parts):
+    """Fold ``(keys, sums)`` parts into a vector aligned to ``nodes``."""
+    acc = np.zeros(len(nodes), dtype=np.int64)
+    for keys, sums in parts:
+        np.add.at(acc, np.searchsorted(nodes, keys), sums)
+    return acc
+
+
+class _Shard:
+    """Resident partition ``b`` of ``nb``: the edges whose key hashes to
+    ``b`` (``src``, ``dst``) and the state of the nodes that hash to
+    ``b``, sorted by id."""
+
+    def __init__(self, bucket: int, num_buckets: int):
+        self.b = bucket
+        self.nb = num_buckets
+        self.src = np.empty(0, dtype=np.int64)
+        self.dst = np.empty(0, dtype=np.int64)
+        self.nodes = np.empty(0, dtype=np.int64)
+
+    def parts(self, method: str, *args):
+        """Run a method that returns one part per shard, as the
+        ``num_returns=nb`` return value of an actor call."""
+        out = getattr(self, method)(*args)
+        return tuple(out) if len(out) > 1 else out[0]
+
+    def init_nodes(self, num_nodes: int):
+        """Return an edge endpoint outside ``[0, num_nodes)`` if there is
+        one; otherwise take this shard's nodes and initialise them."""
+        ends = np.concatenate([self.src, self.dst])
+        bad = ends[(ends < 0) | (ends >= num_nodes)]
+        if len(bad):
+            return int(bad[0])
+        ids = np.arange(num_nodes, dtype=np.int64)
+        self.nodes = ids[_bucket_i64(ids, self.nb) == self.b]
+        self.init_state()
+        return None
 
 
 # ---------------------------------------------------------------- pagerank
 
 
-class _PRShard:
-    """Resident partition for (weighted) integer fixed-point PageRank:
-    holds the bucket's edges (keyed by hash(src)) and its node states.
-    All out-edges of a resident node live here (bucket(edge) =
-    bucket(src)), so out-degree / out-weight never shuffles at all."""
+class PRShard(_Shard):
+    """Integer fixed-point PageRank, plain or weighted. Edges are keyed
+    by src: all out-edges of a resident node live here, so out-degree /
+    out-weight never moves."""
 
-    def __init__(self, bucket: int, num_buckets: int,
+    def __init__(self, bucket: int, num_buckets: int, scale: int,
                  damping_permille: int, weighted: bool):
-        self.b = bucket
-        self.nb = num_buckets
+        super().__init__(bucket, num_buckets)
+        self.scale = scale
         self.d = int(damping_permille)
-        self.base = (1000 - self.d) * SCALE // 1000
-        self.weighted = weighted
-        self.src = np.empty(0, dtype=np.int64)
-        self.dst = np.empty(0, dtype=np.int64)
-        self.w = np.empty(0, dtype=np.int64)
-        self.nodes = np.empty(0, dtype=np.int64)
-        self.rank = np.empty(0, dtype=np.int64)
-        self.deg = np.empty(0, dtype=np.int64)
-        self.dst_bucket = np.empty(0, dtype=np.int64)
+        self.base = (1000 - self.d) * scale // 1000
+        # unweighted: every edge weighs 1, so W is the out-degree
+        self.w = np.empty(0, dtype=np.int64) if weighted else None
 
     def set_edges(self, src, dst, w=None):
         self.src = np.asarray(src, dtype=np.int64)
         self.dst = np.asarray(dst, dtype=np.int64)
         if w is not None:
             self.w = np.asarray(w, dtype=np.int64)
+
+    def init_state(self):
         self.dst_bucket = _bucket_i64(self.dst, self.nb)
-
-    def init_nodes(self, num_nodes: int):
-        ids = np.arange(num_nodes, dtype=np.int64)
-        self.nodes = ids[_bucket_i64(ids, self.nb) == self.b]
-        self.rank = np.full(len(self.nodes), SCALE, dtype=np.int64)
-        # out-degree / out-weight from resident edges only (complete by
-        # construction: bucket(edge) = bucket(src))
+        self.rank = np.full(len(self.nodes), self.scale, dtype=np.int64)
+        self.pos = np.searchsorted(self.nodes, self.src)
         self.deg = np.zeros(len(self.nodes), dtype=np.int64)
-        if len(self.src):
-            pos = np.searchsorted(self.nodes, self.src)
-            vals = self.w if self.weighted \
-                else np.ones(len(self.src), dtype=np.int64)
-            np.add.at(self.deg, pos, vals)
-        return len(self.nodes)
-
-    def scatter(self):
-        """Per-dst partial contribution sums, partitioned by the dst's
-        bucket — identical math to graph.pagerank's scatter kernel."""
-        out = []
-        if len(self.src) == 0 or len(self.nodes) == 0:
-            empty = (np.empty(0, dtype=np.int64),
-                     np.empty(0, dtype=np.int64))
-            return tuple(empty for _ in range(self.nb)) \
-                if self.nb > 1 else empty
-        pos = np.searchsorted(self.nodes, self.src)
-        r = self.rank[pos]
-        if self.weighted:
-            W = self.deg[pos]
-            Ws = np.maximum(W, 1)
-            # exact int64 split of r*w//W (no 128-bit): r = qW + s
-            c_e = (r // Ws) * self.w + ((r % Ws) * self.w) // Ws
-            c_e = np.where(W > 0, c_e, 0)
-        else:
-            dg = self.deg[pos]
-            c_e = np.where(dg > 0, r // np.maximum(dg, 1), 0)
-        for j in range(self.nb):
-            sel = self.dst_bucket == j
-            dsts = self.dst[sel]
-            codes, inv = np.unique(dsts, return_inverse=True)
-            acc = np.zeros(len(codes), dtype=np.int64)
-            np.add.at(acc, inv, c_e[sel])
-            out.append((codes, acc))
-        return tuple(out) if self.nb > 1 else out[0]
-
-    def gather(self, *parts):
-        acc = np.zeros(len(self.nodes), dtype=np.int64)
-        for nodes_p, sums_p in parts:
-            if len(nodes_p) == 0:
-                continue
-            pos = np.searchsorted(self.nodes, nodes_p)
-            ok = pos < len(self.nodes)
-            safe = np.where(ok, pos, 0)
-            ok &= self.nodes[safe] == nodes_p
-            np.add.at(acc, safe[ok], sums_p[ok])
-        self.rank = self.base + (acc * np.int64(self.d)) // np.int64(1000)
+        np.add.at(self.deg, self.pos, 1 if self.w is None else self.w)
 
     def weight_guard(self):
         return (int(self.w.max()) if len(self.w) else 0,
                 int(self.deg.max()) if len(self.deg) else 0)
 
-    def state_table(self) -> pa.Table:
-        return pa.table({"node": _i64(self.nodes), "rank": _i64(self.rank)})
-
-
-def pagerank_bsp(edges, num_nodes: int, iters: int = 5,
-                 damping_permille: int = 850, num_buckets: int = 32,
-                 weighted: bool = False):
-    """Fused PageRank: one edge-load exchange, then ``iters`` BSP
-    supersteps over resident shards. Bit-identical to
-    graph.pagerank / graph.pagerank_weighted (asserted in tests)."""
-    import ray
-
-    from .joins import _bucket_of
-
-    if num_nodes * SCALE * 1000 >= 2 ** 63:
-        raise ValueError(
-            f"pagerank int64 overflow: num_nodes ({num_nodes}) * SCALE "
-            f"({SCALE}) * 1000 >= 2**63; reduce graph.SCALE")
-
-    B = num_buckets
-    Shard = ray.remote(_PRShard)
-    shards = [Shard.options(num_cpus=0).remote(
-        b, B, damping_permille, weighted) for b in range(B)]
-
-    cols = ["src", "dst"] + (["w"] if weighted else [])
-
-    def tag(t: pa.Table) -> pa.Table:
-        d = {"src": t["src"].cast(pa.int64()),
-             "dst": t["dst"].cast(pa.int64())}
-        if weighted:
-            d["w"] = t["w"].cast(pa.int64())
-        out = pa.table(d)
-        return out.append_column(
-            "__bucket", _bucket_of(out, ["src"], B))
-
-    tagged = edges.map_batches(tag, batch_format="pyarrow")
-    _load_by_bucket(tagged, shards, "set_edges", cols)
-    ray.get([s.init_nodes.remote(num_nodes) for s in shards])
-    if weighted:
-        # range guard mirrors graph.pagerank_weighted: max(w)*max(W)<2^63
-        guards = ray.get([s.weight_guard.remote() for s in shards])
-        max_w = max(g[0] for g in guards)
-        max_W = max(g[1] for g in guards)
-        if max_w > 0 and max_w * max_W >= 2 ** 63:
-            raise ValueError("pagerank_weighted int64 overflow: "
-                             f"max(w)={max_w} * max(W)={max_W} >= 2**63")
-
-    for _ in range(iters):
-        if B > 1:
-            mat = [s.scatter.options(num_returns=B).remote()
-                   for s in shards]
-            done = [shards[j].gather.remote(*[mat[b][j] for b in range(B)])
-                    for j in range(B)]
-        else:
-            mat = [s.scatter.remote() for s in shards]
-            done = [shards[0].gather.remote(mat[0])]
-        ray.get(done)
-
-    return _collect(shards)
-
-
-# ----------------------------------------------------- redirect resolution
-
-
-class _RDShard:
-    """Resident partition for pointer-doubling redirect resolution:
-    holds the state rows (src, cur, hops) whose src hashes here — which
-    is exactly this shard's slice of the src->state lookup map, so the
-    'map side' of every doubling round is resident by construction."""
-
-    def __init__(self, bucket: int, num_buckets: int):
-        self.b = bucket
-        self.nb = num_buckets
-        self.src = np.empty(0, dtype=object)
-        self.cur = np.empty(0, dtype=object)
-        self.hops = np.empty(0, dtype=np.int64)
-        self._index = None
-        self._q_uniq = None
-        self._q_inv = None
-        self._q_bucket = None
-
-    def set_state(self, src, cur):
-        import pandas as pd
-
-        self.src = np.asarray(src, dtype=object)
-        self.cur = np.asarray(cur, dtype=object)
-        self.hops = np.ones(len(self.src), dtype=np.int64)
-        self._index = pd.Index(self.src)
-
-    def queries(self):
-        """Unique cur values partitioned by bucket(cur); remembers the
-        inverse mapping for apply()."""
-        uniq, inv = np.unique(self.cur, return_inverse=True)
-        self._q_uniq, self._q_inv = uniq, inv
-        self._q_bucket = _bucket_str(uniq, self.nb)
-        out = [uniq[self._q_bucket == j] for j in range(self.nb)]
-        return tuple(out) if self.nb > 1 else out[0]
-
-    def answer(self, keys):
-        """Look up keys in the RESIDENT pre-apply map. Serial actor
-        execution guarantees all answer calls of a round complete before
-        this shard's apply mutates the map (driver submits answers
-        first)."""
-        import pandas as pd
-
-        keys = np.asarray(keys, dtype=object)
-        if self._index is None:      # empty shard: no state rows landed
-            self._index = pd.Index(self.src)
-        if len(self.cur) == 0:
-            return (np.zeros(len(keys), dtype=bool),
-                    np.empty(len(keys), dtype=object),
-                    np.zeros(len(keys), dtype=np.int64))
-        pos = self._index.get_indexer(keys)
-        found = pos >= 0
-        safe = np.where(found, pos, 0)
-        nxt = np.where(found, self.cur[safe], None)
-        h2 = np.where(found, self.hops[safe], 0).astype(np.int64)
-        return found, nxt, h2
-
-    def apply(self, *answers):
-        """answers[j] = (found, nxt, h2) aligned to the unique-cur slice
-        this shard sent to bucket j."""
-        import pandas as pd
-
-        n_u = len(self._q_uniq)
-        u_found = np.zeros(n_u, dtype=bool)
-        u_nxt = np.empty(n_u, dtype=object)
-        u_h2 = np.zeros(n_u, dtype=np.int64)
-        for j, (found, nxt, h2) in enumerate(answers):
-            sel = np.flatnonzero(self._q_bucket == j)
-            u_found[sel] = found
-            u_nxt[sel] = nxt
-            u_h2[sel] = h2
-        row_found = u_found[self._q_inv]
-        self.cur = np.where(row_found, u_nxt[self._q_inv], self.cur)
-        self.hops = self.hops + np.where(row_found,
-                                         u_h2[self._q_inv], 0)
-        self._index = pd.Index(self.src)  # map side unchanged (src keys)
-
-    def exists(self, keys):
-        import pandas as pd
-
-        keys = np.asarray(keys, dtype=object)
-        if self._index is None:
-            self._index = pd.Index(self.src)
-        return self._index.get_indexer(keys) >= 0
-
-    def finish(self, *cyc_answers) -> pa.Table:
-        n_u = len(self._q_uniq)
-        u_cyc = np.zeros(n_u, dtype=bool)
-        for j, found in enumerate(cyc_answers):
-            u_cyc[np.flatnonzero(self._q_bucket == j)] = found
-        cyc = u_cyc[self._q_inv]
-        final = np.where(cyc, "", self.cur)
-        hops = np.where(cyc, -1, self.hops).astype(np.int64)
-        return pa.table({
-            "src_url": pa.array(self.src.tolist(), type=pa.string()),
-            "final_url": pa.array(final.tolist(), type=pa.string()),
-            "hops": _i64(hops),
-            "is_cycle": pa.array(cyc.tolist()),
-        })
-
-
-def resolve_redirects_bsp(edges, hop_cap: int = 8, num_buckets: int = 32):
-    """Fused pointer doubling: one state-load exchange, then
-    ``log2(hop_cap)`` doubling rounds of 3 actor-message phases each
-    (queries -> answers -> apply) plus one terminal-existence round.
-    Bit-identical to graph.resolve_redirects."""
-    import ray
-
-    from .joins import _bucket_of
-
-    rounds = int(np.log2(hop_cap))
-    if 2 ** rounds != hop_cap:
-        raise ValueError(f"hop_cap must be a power of two, got {hop_cap}")
-
-    B = num_buckets
-    Shard = ray.remote(_RDShard)
-    shards = [Shard.options(num_cpus=0).remote(b, B) for b in range(B)]
-
-    def tag(t: pa.Table) -> pa.Table:
-        out = pa.table({"src": t["src"], "cur": t["dst"]})
-        return out.append_column("__bucket",
-                                 _bucket_of(out, ["src"], B))
-
-    tagged = edges.map_batches(tag, batch_format="pyarrow")
-    _load_by_bucket(tagged, shards, "set_state", ["src", "cur"])
-
-    def query_round(method):
-        if B > 1:
-            qmat = [s.queries.options(num_returns=B).remote()
-                    for s in shards]
-            amat = [[getattr(shards[j], method).remote(qmat[b][j])
-                     for j in range(B)] for b in range(B)]
-        else:
-            qmat = [s.queries.remote() for s in shards]
-            amat = [[getattr(shards[0], method).remote(qmat[0])]]
-        return amat
-
-    for _ in range(rounds):
-        amat = query_round("answer")
-        ray.get([shards[b].apply.remote(*amat[b]) for b in range(B)])
-
-    amat = query_round("exists")
-    refs = [shards[b].finish.remote(*amat[b]) for b in range(B)]
-    ray.wait(refs, num_returns=len(refs))
-    import ray.data as rd
-
-    ds = rd.from_arrow_refs(refs)
-    for s in shards:
-        ray.kill(s)
-    return ds
-
-
-# ----------------------------------------------------------------- hyperball
-
-
-class _HBShard:
-    """Resident partition for HyperBall: holds the bucket's edges keyed
-    by hash(dst) (the PULL direction: src pulls dst's registers) and the
-    DENSE m-register rows of its resident nodes. Register unions are
-    elementwise maxes — order-independent, so the BSP digest is
-    bit-identical to the Dataset path's sparse groupby-max."""
-
-    def __init__(self, bucket: int, num_buckets: int, p: int):
-        self.b = bucket
-        self.nb = num_buckets
-        self.p = p
-        self.m = 1 << p
-        self.wbits = 64 - p
-        self.src = np.empty(0, dtype=np.int64)
-        self.dst = np.empty(0, dtype=np.int64)
-        self.src_bucket = np.empty(0, dtype=np.int64)
-        self.nodes = np.empty(0, dtype=np.int64)
-        self.regs = np.empty((0, self.m), dtype=np.int64)
-
-    def set_edges(self, src, dst):
-        self.src = np.asarray(src, dtype=np.int64)
-        self.dst = np.asarray(dst, dtype=np.int64)
-        self.src_bucket = _bucket_i64(self.src, self.nb)
-
-    def init_nodes(self, num_nodes: int):
-        from .sketch import _hash64
-
-        ids = np.arange(num_nodes, dtype=np.int64)
-        self.nodes = ids[_bucket_i64(ids, self.nb) == self.b]
-        self.regs = np.zeros((len(self.nodes), self.m), dtype=np.int64)
-        if len(self.nodes) == 0:
-            return 0
-        h = _hash64([str(int(v)) for v in self.nodes],
-                    oracle_parity=True)
-        bkt = (h >> np.uint64(self.wbits)).astype(np.int64)
-        w = (h & np.uint64((1 << self.wbits) - 1)).astype(np.int64)
-        rho = np.full(len(w), self.wbits + 1, dtype=np.int64)
-        nz = w > 0
-        if nz.any():
-            e = np.frexp(w[nz].astype(np.float64))[1].astype(np.int64)
-            e = np.where((np.int64(1) << np.minimum(e, 62)) <= w[nz],
-                         e + 1, e)
-            e = np.where((np.int64(1) << np.maximum(e - 1, 0)) > w[nz],
-                         e - 1, e)
-            rho[nz] = self.wbits - (e - 1)
-        self.regs[np.arange(len(self.nodes)), bkt] = rho
-        return len(self.nodes)
-
     def scatter(self):
-        """Per-src register maxima over resident (src, dst) edges (dst
-        registers are resident: bucket(edge) = bucket(dst)), partitioned
-        by bucket(src)."""
-        out = []
-        if len(self.src) == 0 or len(self.nodes) == 0:
-            empty = (np.empty(0, dtype=np.int64),
-                     np.empty((0, self.m), dtype=np.int64))
-            return tuple(empty for _ in range(self.nb)) \
-                if self.nb > 1 else empty
-        pos = np.searchsorted(self.nodes, self.dst)
-        dreg = self.regs[pos]
-        for j in range(self.nb):
-            sel = self.src_bucket == j
-            srcs = self.src[sel]
-            codes, inv = np.unique(srcs, return_inverse=True)
-            acc = np.zeros((len(codes), self.m), dtype=np.int64)
-            np.maximum.at(acc, inv, dreg[sel])
-            out.append((codes, acc))
-        return tuple(out) if self.nb > 1 else out[0]
+        """Per-dst partial contribution sums, one part per dst shard."""
+        r = self.rank[self.pos]
+        W = self.deg[self.pos]
+        Ws = np.maximum(W, 1)
+        if self.w is None:
+            c_e = r // Ws
+        else:
+            # exact int64 split of r*w//W (no 128-bit): r = qW + s
+            c_e = (r // Ws) * self.w + ((r % Ws) * self.w) // Ws
+        c_e = np.where(W > 0, c_e, 0)
+        return _sum_by_key(self.dst, c_e, self.dst_bucket, self.nb)
 
     def gather(self, *parts):
-        for nodes_p, regs_p in parts:
-            if len(nodes_p) == 0:
-                continue
-            pos = np.searchsorted(self.nodes, nodes_p)
-            ok = pos < len(self.nodes)
-            safe = np.where(ok, pos, 0)
-            ok &= self.nodes[safe] == nodes_p
-            np.maximum.at(self.regs, safe[ok], regs_p[ok])
+        acc = _sum_into(self.nodes, parts)
+        self.rank = self.base + (acc * np.int64(self.d)) // np.int64(1000)
 
-    def digest_table(self) -> pa.Table:
-        v_zero = (self.regs == 0).sum(axis=1).astype(np.int64)
-        sum_r = self.regs.sum(axis=1).astype(np.int64)
-        return pa.table({"node": _i64(self.nodes), "v_zero": _i64(v_zero),
-                         "sum_r": _i64(sum_r)})
-
-
-def hyperball_bsp(edges, num_nodes: int, iters: int = 2, p: int = 6,
-                  num_buckets: int = 32):
-    """Fused HyperBall: one edge-load exchange (keyed by dst), then
-    ``iters`` register-union supersteps. Bit-identical digest to
-    graph.hyperball (the Dataset path keeps registers sparse; dense
-    resident rows produce the same maxes — zeros count into v_zero
-    either way)."""
-    import ray
-
-    from .joins import _bucket_of
-
-    B = num_buckets
-    Shard = ray.remote(_HBShard)
-    shards = [Shard.options(num_cpus=0).remote(b, B, p)
-              for b in range(B)]
-
-    def tag(t: pa.Table) -> pa.Table:
-        out = pa.table({"src": t["src"].cast(pa.int64()),
-                        "dst": t["dst"].cast(pa.int64())})
-        return out.append_column("__bucket",
-                                 _bucket_of(out, ["dst"], B))
-
-    tagged = edges.map_batches(tag, batch_format="pyarrow")
-    _load_by_bucket(tagged, shards, "set_edges", ["src", "dst"])
-    ray.get([s.init_nodes.remote(num_nodes) for s in shards])
-
-    for _ in range(iters):
-        if B > 1:
-            mat = [s.scatter.options(num_returns=B).remote()
-                   for s in shards]
-            done = [shards[j].gather.remote(*[mat[b][j] for b in range(B)])
-                    for j in range(B)]
-        else:
-            mat = [s.scatter.remote() for s in shards]
-            done = [shards[0].gather.remote(mat[0])]
-        ray.get(done)
-
-    return _collect(shards, "digest_table")
+    def state_table(self) -> pa.Table:
+        return pa.table({"node": _i64(self.nodes), "rank": _i64(self.rank)})
 
 
 # ---------------------------------------------------------------------- hits
 
 
-class _HITSShard:
-    """Resident partition for integer fixed-point HITS: holds BOTH edge
-    copies (src-bucketed for the authority step, dst-bucketed for the
-    hub step — the Dataset path materializes the same two) plus the
-    bucket's (h, a) node states. Max-normalization is two tiny driver
-    reduces per iteration, exactly like the Dataset path's counts-only
-    ``max`` aggregates."""
+class HITSShard(_Shard):
+    """Integer fixed-point HITS: BOTH edge copies (``src``/``dst`` keyed
+    by src for the authority step, ``d_src``/``d_dst`` keyed by dst for
+    the hub step) plus the shard's (h, a) node states. Max-normalization
+    is one scalar max per half-step, reduced on the driver."""
 
     def __init__(self, bucket: int, num_buckets: int, scale: int):
-        self.b = bucket
-        self.nb = num_buckets
+        super().__init__(bucket, num_buckets)
         self.scale = np.int64(scale)
-        self.s_src = np.empty(0, dtype=np.int64)
-        self.s_dst = np.empty(0, dtype=np.int64)
-        self.s_dst_bucket = np.empty(0, dtype=np.int64)
         self.d_src = np.empty(0, dtype=np.int64)
         self.d_dst = np.empty(0, dtype=np.int64)
-        self.d_src_bucket = np.empty(0, dtype=np.int64)
-        self.nodes = np.empty(0, dtype=np.int64)
-        self.h = np.empty(0, dtype=np.int64)
-        self.a = np.empty(0, dtype=np.int64)
-        self.raw = np.empty(0, dtype=np.int64)
 
     def set_edges_src(self, src, dst):
-        self.s_src = np.asarray(src, dtype=np.int64)
-        self.s_dst = np.asarray(dst, dtype=np.int64)
-        self.s_dst_bucket = _bucket_i64(self.s_dst, self.nb)
+        self.src = np.asarray(src, dtype=np.int64)
+        self.dst = np.asarray(dst, dtype=np.int64)
 
     def set_edges_dst(self, src, dst):
         self.d_src = np.asarray(src, dtype=np.int64)
         self.d_dst = np.asarray(dst, dtype=np.int64)
-        self.d_src_bucket = _bucket_i64(self.d_src, self.nb)
 
-    def init_nodes(self, num_nodes: int):
-        ids = np.arange(num_nodes, dtype=np.int64)
-        self.nodes = ids[_bucket_i64(ids, self.nb) == self.b]
+    def init_state(self):
         self.h = np.full(len(self.nodes), self.scale, dtype=np.int64)
         self.a = np.full(len(self.nodes), self.scale, dtype=np.int64)
-        return len(self.nodes)
+        # authority: h flows src -> dst over src-resident edges; hub: the
+        # NEW a flows dst -> src over dst-resident edges
+        self.flows = {
+            "a": (np.searchsorted(self.nodes, self.src), self.dst,
+                  _bucket_i64(self.dst, self.nb), "h"),
+            "h": (np.searchsorted(self.nodes, self.d_dst), self.d_src,
+                  _bucket_i64(self.d_src, self.nb), "a"),
+        }
 
-    def _scatter(self, vals, jk, ek, ek_bucket):
-        out = []
-        if len(jk) == 0 or len(self.nodes) == 0:
-            empty = (np.empty(0, dtype=np.int64),
-                     np.empty(0, dtype=np.int64))
-            return tuple(empty for _ in range(self.nb)) \
-                if self.nb > 1 else empty
-        pos = np.searchsorted(self.nodes, jk)
-        v_e = vals[pos]
-        for j in range(self.nb):
-            sel = ek_bucket == j
-            codes, inv = np.unique(ek[sel], return_inverse=True)
-            acc = np.zeros(len(codes), dtype=np.int64)
-            np.add.at(acc, inv, v_e[sel])
-            out.append((codes, acc))
-        return tuple(out) if self.nb > 1 else out[0]
-
-    def a_scatter(self):
-        # authority: h flows src -> dst over src-resident edges
-        return self._scatter(self.h, self.s_src, self.s_dst,
-                             self.s_dst_bucket)
-
-    def h_scatter(self):
-        # hub: NEW a flows dst -> src over dst-resident edges
-        return self._scatter(self.a, self.d_dst, self.d_src,
-                             self.d_src_bucket)
+    def scatter(self, which: str):
+        pos, to, to_bucket, frm = self.flows[which]
+        return _sum_by_key(to, getattr(self, frm)[pos], to_bucket, self.nb)
 
     def gather(self, *parts):
-        acc = np.zeros(len(self.nodes), dtype=np.int64)
-        for nodes_p, sums_p in parts:
-            if len(nodes_p) == 0:
-                continue
-            pos = np.searchsorted(self.nodes, nodes_p)
-            ok = pos < len(self.nodes)
-            safe = np.where(ok, pos, 0)
-            ok &= self.nodes[safe] == nodes_p
-            np.add.at(acc, safe[ok], sums_p[ok])
-        self.raw = acc
-        return int(acc.max()) if len(acc) else 0
+        self.raw = _sum_into(self.nodes, parts)
+        return int(self.raw.max()) if len(self.raw) else 0
 
     def normalize(self, which: str, gmax: int):
         if gmax > 0:
@@ -639,57 +332,145 @@ class _HITSShard:
                          "auth": _i64(self.a)})
 
 
-def hits_bsp(edges, num_nodes: int, iters: int = 3, num_buckets: int = 32,
-             scale: int = None):
-    """Fused HITS: two edge-load exchanges (one per direction), then per
-    iteration two scatter/gather supersteps plus two scalar max reduces.
-    Bit-identical to graph.hits (same integer half-step normalization)."""
-    import ray
+# ----------------------------------------------------------------- hyperball
 
-    from .joins import _bucket_of
 
-    if scale is None:
-        from .graph import HITS_SCALE
-        scale = HITS_SCALE
-    if num_nodes * scale * scale >= 2 ** 63:
-        raise ValueError(
-            f"hits int64 overflow: num_nodes ({num_nodes}) * "
-            f"HITS_SCALE^2 >= 2**63; reduce graph.HITS_SCALE")
+class HBShard(_Shard):
+    """HyperBall: edges keyed by dst (the PULL direction: src pulls
+    dst's registers) and the DENSE m-register rows of the resident
+    nodes. Register unions are elementwise maxes, so the digest does not
+    depend on message order."""
 
-    B = num_buckets
-    Shard = ray.remote(_HITSShard)
-    shards = [Shard.options(num_cpus=0).remote(b, B, scale)
-              for b in range(B)]
+    def __init__(self, bucket: int, num_buckets: int, p: int):
+        super().__init__(bucket, num_buckets)
+        self.m = 1 << p
+        self.wbits = 64 - p
 
-    def tag(key):
-        def fn(t: pa.Table) -> pa.Table:
-            out = pa.table({"src": t["src"].cast(pa.int64()),
-                            "dst": t["dst"].cast(pa.int64())})
-            return out.append_column(
-                "__bucket", _bucket_of(out, [key], B))
-        return fn
+    def set_edges(self, src, dst):
+        self.src = np.asarray(src, dtype=np.int64)
+        self.dst = np.asarray(dst, dtype=np.int64)
 
-    _load_by_bucket(edges.map_batches(tag("src"), batch_format="pyarrow"),
-                    shards, "set_edges_src", ["src", "dst"])
-    _load_by_bucket(edges.map_batches(tag("dst"), batch_format="pyarrow"),
-                    shards, "set_edges_dst", ["src", "dst"])
-    ray.get([s.init_nodes.remote(num_nodes) for s in shards])
+    def init_state(self):
+        from .sketch import _hash64
 
-    def superstep(scatter_method: str, which: str):
-        if B > 1:
-            mat = [getattr(s, scatter_method)
-                   .options(num_returns=B).remote() for s in shards]
-            maxes = ray.get([
-                shards[j].gather.remote(*[mat[b][j] for b in range(B)])
-                for j in range(B)])
-        else:
-            mat = [getattr(s, scatter_method).remote() for s in shards]
-            maxes = ray.get([shards[0].gather.remote(mat[0])])
-        gmax = max(maxes) if maxes else 0
-        ray.get([s.normalize.remote(which, gmax) for s in shards])
+        self.src_bucket = _bucket_i64(self.src, self.nb)
+        self.regs = np.zeros((len(self.nodes), self.m), dtype=np.int64)
+        self.pos = np.searchsorted(self.nodes, self.dst)
+        if len(self.nodes) == 0:
+            return
+        h = _hash64([str(int(v)) for v in self.nodes],
+                    oracle_parity=True)
+        bkt = (h >> np.uint64(self.wbits)).astype(np.int64)
+        w = (h & np.uint64((1 << self.wbits) - 1)).astype(np.int64)
+        rho = np.full(len(w), self.wbits + 1, dtype=np.int64)
+        nz = w > 0
+        if nz.any():
+            e = np.frexp(w[nz].astype(np.float64))[1].astype(np.int64)
+            # integer boundary correction: 2^(e-1) <= w < 2^e exactly
+            e = np.where((np.int64(1) << np.minimum(e, 62)) <= w[nz],
+                         e + 1, e)
+            e = np.where((np.int64(1) << np.maximum(e - 1, 0)) > w[nz],
+                         e - 1, e)
+            rho[nz] = self.wbits - (e - 1)
+        self.regs[np.arange(len(self.nodes)), bkt] = rho
 
-    for _ in range(iters):
-        superstep("a_scatter", "a")   # authority half-step (uses h)
-        superstep("h_scatter", "h")   # hub half-step (uses NEW a)
+    def scatter(self):
+        """Per-src register maxima over the resident edges, one part per
+        src shard."""
+        dreg = self.regs[self.pos]
+        out = []
+        for j in range(self.nb):
+            sel = self.src_bucket == j
+            codes, inv = np.unique(self.src[sel], return_inverse=True)
+            acc = np.zeros((len(codes), self.m), dtype=np.int64)
+            np.maximum.at(acc, inv, dreg[sel])
+            out.append((codes, acc))
+        return out
 
-    return _collect(shards)
+    def gather(self, *parts):
+        for keys, regs in parts:
+            np.maximum.at(self.regs, np.searchsorted(self.nodes, keys), regs)
+
+    def digest_table(self) -> pa.Table:
+        v_zero = (self.regs == 0).sum(axis=1).astype(np.int64)
+        sum_r = self.regs.sum(axis=1).astype(np.int64)
+        return pa.table({"node": _i64(self.nodes), "v_zero": _i64(v_zero),
+                         "sum_r": _i64(sum_r)})
+
+
+# ----------------------------------------------------- redirect resolution
+
+
+class RDShard(_Shard):
+    """Pointer-doubling state rows ``(src, cur, hops)`` whose src hashes
+    to this shard, which is exactly this shard's slice of the
+    src -> state lookup map: the map side of every doubling round is
+    resident by construction."""
+
+    def __init__(self, bucket: int, num_buckets: int):
+        super().__init__(bucket, num_buckets)
+        self.set_state(np.empty(0, dtype=object), np.empty(0, dtype=object))
+
+    def set_state(self, src, cur):
+        import pandas as pd
+
+        self.src = np.asarray(src, dtype=object)
+        self.cur = np.asarray(cur, dtype=object)
+        self.hops = np.ones(len(self.src), dtype=np.int64)
+        self.index = pd.Index(self.src)
+
+    def duplicate_src(self):
+        """A src with more than one row, or None."""
+        dup = self.index[self.index.duplicated()]
+        return dup[0] if len(dup) else None
+
+    def queries(self):
+        """Unique cur values, one part per shard of the value; remembers
+        the inverse mapping for apply() and finish()."""
+        uniq, self.q_inv = np.unique(self.cur, return_inverse=True)
+        self.q_bucket = _bucket_str(uniq, self.nb)
+        return [uniq[self.q_bucket == j] for j in range(self.nb)]
+
+    def answer(self, *keys_by_shard):
+        """``(found, next, hops)`` for every key each shard asked about,
+        looked up in the resident map before this round's apply (the
+        apply depends on this call's output, so it runs after it)."""
+        out = []
+        for keys in keys_by_shard:
+            pos = self.index.get_indexer(np.asarray(keys, dtype=object))
+            found = pos >= 0
+            nxt = np.full(len(pos), None, dtype=object)
+            nxt[found] = self.cur[pos[found]]
+            h2 = np.zeros(len(pos), dtype=np.int64)
+            h2[found] = self.hops[pos[found]]
+            out.append((found, nxt, h2))
+        return out
+
+    def exists(self, *keys_by_shard):
+        return [self.index.get_indexer(np.asarray(k, dtype=object)) >= 0
+                for k in keys_by_shard]
+
+    def _per_row(self, replies, dtype):
+        """Spread per-shard replies (aligned to the query parts) back onto
+        this shard's rows."""
+        u = np.empty(len(self.q_bucket), dtype=dtype)
+        for j, vals in enumerate(replies):
+            u[self.q_bucket == j] = vals
+        return u[self.q_inv]
+
+    def apply(self, *answers):
+        found = self._per_row([a[0] for a in answers], bool)
+        nxt = self._per_row([a[1] for a in answers], object)
+        h2 = self._per_row([a[2] for a in answers], np.int64)
+        self.cur = np.where(found, nxt, self.cur)
+        self.hops = self.hops + np.where(found, h2, 0)
+
+    def finish(self, *cyc_answers) -> pa.Table:
+        cyc = self._per_row(cyc_answers, bool)
+        return pa.table({
+            "src_url": pa.array(self.src.tolist(), type=pa.string()),
+            "final_url": pa.array(np.where(cyc, "", self.cur).tolist(),
+                                  type=pa.string()),
+            "hops": _i64(np.where(cyc, -1, self.hops)),
+            "is_cycle": pa.array(cyc.tolist(), type=pa.bool_()),
+        })

@@ -2717,7 +2717,7 @@ def textrank_keywords(docs, vocab_size: int = 50, iters: int = 3):
     documented vocab budget), ONE streaming pass over tokens emitting
     per-batch (src, dst, c) pair partials against the broadcast vocab
     (searchsorted, no per-token Python), one V^2-bounded groupby-sum,
-    then pagerank_weighted's two-exchange iterations over <= V nodes."""
+    then pagerank_weighted's BSP iterations over <= V nodes."""
     from ray.data.aggregate import Sum
 
     from .graph import pagerank_weighted

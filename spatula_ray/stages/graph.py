@@ -27,239 +27,73 @@ stay under 2**63, which holds while ``num_nodes * SCALE * 1000 < 2**63``
 (~9.6M nodes at the default SCALE); drop SCALE to 10**6 for
 billion-node graphs — precision trades against range explicitly.
 
-Shuffle shape per iteration — exactly TWO sort-groupby exchanges, both
-over compact int columns (the first version composed generic
-hash_bucket_joins and paid ~8 Dataset executions per iteration; fusing
-the join+aggregate into bucket kernels cut the fixed cost ~3x):
-
-1. **scatter**: edges (bucketed once by hash(src), reused every
-   iteration) union the rank table (bucketed by the same hash of node);
-   one vectorized kernel per bucket maps ranks onto that bucket's edges
-   (unique-key searchsorted) and emits PER-DST PARTIAL integer sums —
-   at most one row per distinct dst per bucket.
-2. **gather**: partials (re-bucketed by hash(dst)) union the node-state
-   table; one kernel per bucket folds the partials (``np.add.at``,
-   exact int64) and applies the damping update.
-
-Ranks and degrees are (node, int64) tables — never adjacency lists — so
-skewed in-degree costs a hot reduce key, not memory; salt a pathological
-dst by splitting the gather in two rounds. Node-state blocks stay
-bucket-partitioned across iterations (the connected_components lesson:
-re-bucketing per iteration keeps the sort shuffle's fan-in flat)."""
+Execution: the iterative operators (:func:`pagerank`,
+:func:`pagerank_weighted`, :func:`hits`, :func:`hyperball`,
+:func:`resolve_redirects`) run on the BSP engine in :mod:`bsp`: one
+shard actor per cluster CPU, ONE sort exchange that loads the edges into
+their key's shard, then one scatter/gather message round per iteration
+(per-dst partial sums of ``rank // outdeg`` for PageRank) with no Dataset
+execution inside the loop. Ranks and degrees are (node, int64) arrays,
+never adjacency lists, so skewed in-degree costs a hot shard's partial
+sums, not memory. Node ids must lie in ``[0, num_nodes)``; an edge
+endpoint outside that range is a ``ValueError``."""
 
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
 
+from . import bsp
+
 SCALE = 10**9
 
 
 def pagerank(edges, num_nodes: int, iters: int = 5,
-             damping_permille: int = 850, num_buckets: int = 32,
-             engine: str = "actor"):
+             damping_permille: int = 850):
     """Integer fixed-point PageRank over an edge Dataset with columns
     ``(src, dst)``; nodes are ``0..num_nodes-1``. Returns a Dataset of
     ``(node, rank)`` with integer ranks on the ``SCALE`` grid. See module
-    docstring for semantics, determinism, and the shuffle plan.
+    docstring for semantics, determinism, and the execution plan.
 
-    ``engine="actor"`` (default) runs the fused BSP path — resident
-    shards, zero Dataset executions inside the loop (bsp.pagerank_bsp,
-    round-4 verdict fix #2); ``engine="dataset"`` keeps the streaming
-    two-exchange-per-iteration plan below (the spill-friendly path when
-    resident state cannot fit). Both are bit-identical (integer sums are
-    order-independent; equality asserted in tests/test_round5.py)."""
-    if engine == "actor":
-        from .bsp import pagerank_bsp
+    Edges are sharded by src, so out-degrees never move; each iteration
+    sends one per-dst partial sum per (shard, dst) pair."""
+    return _pagerank(edges, num_nodes, iters, damping_permille,
+                     weighted=False)
 
-        return pagerank_bsp(edges, num_nodes, iters=iters,
-                            damping_permille=damping_permille,
-                            num_buckets=num_buckets, weighted=False)
-    import pyarrow.compute as pc
-    import ray.data as rd
-    from ray.data.aggregate import Count
 
-    from .joins import _bucket_of
+def _pagerank(edges, num_nodes: int, iters: int, damping_permille: int,
+              weighted: bool):
+    import ray
 
-    # int64 headroom guard (round-3 advisor fix): the gather kernel's
-    # worst case is every node's damped mass landing on one sink —
-    # num_nodes * SCALE * 1000 must stay below 2^63 or the np.add.at
-    # accumulate and the damping multiply wrap silently. ~9.2e6 nodes at
-    # the default SCALE; lower SCALE to raise the node bound.
+    name = "pagerank_weighted" if weighted else "pagerank"
+    # int64 headroom guard: the gather's worst case is every node's damped
+    # mass landing on one sink, so num_nodes * SCALE * 1000 must stay below
+    # 2^63 or the accumulate and the damping multiply wrap silently
     if num_nodes * SCALE * 1000 >= 2 ** 63:
         raise ValueError(
-            f"pagerank int64 overflow: num_nodes ({num_nodes}) * SCALE "
+            f"{name} int64 overflow: num_nodes ({num_nodes}) * SCALE "
             f"({SCALE}) * 1000 >= 2**63; reduce graph.SCALE "
             f"(grid resolution) to fit {num_nodes} nodes")
 
-    base = (1000 - damping_permille) * SCALE // 1000
-    d = damping_permille
-
-    def i64(x) -> pa.Array:
-        return pa.array(np.asarray(x, dtype=np.int64))
-
-    # edges, bucketed by hash(src) ONCE and reused every iteration
-    def tag_edges(t: pa.Table) -> pa.Table:
-        out = pa.table({"src": t["src"].cast(pa.int64()),
-                        "dst": t["dst"].cast(pa.int64())})
-        return out.append_column("__bucket",
-                                 _bucket_of(out, ["src"], num_buckets))
-
-    eb = edges.map_batches(tag_edges, batch_format="pyarrow").materialize()
-    deg = eb.groupby("src").aggregate(Count(alias_name="outdeg"))
-
-    # node state (node, rank, outdeg, __bucket) — __bucket = hash(node),
-    # the SAME hash as the edges' src bucket, so scatter co-locates
-    def init_state(t: pa.Table) -> pa.Table:
-        out = pa.table({"node": t["id"].cast(pa.int64())})
-        out = out.append_column("rank",
-                                i64(np.full(t.num_rows, SCALE)))
-        return out.append_column(
-            "__bucket", _bucket_of(out, ["node"], num_buckets))
-
-    nodes = rd.range(num_nodes).map_batches(init_state,
-                                            batch_format="pyarrow")
-
-    def with_deg(t: pa.Table) -> pa.Table:
-        # per-bucket left join of outdeg onto nodes
-        t = t.combine_chunks()
-        is_node = pc.is_valid(t["node"])
-        nt = t.filter(is_node)
-        dt = t.filter(pc.invert(is_node))
-        n_ids = nt["node"].to_numpy(zero_copy_only=False)
-        d_src = dt["src"].to_numpy(zero_copy_only=False).astype(np.int64)
-        d_deg = dt["outdeg"].to_numpy(zero_copy_only=False).astype(np.int64)
-        order = np.argsort(d_src)
-        d_src, d_deg = d_src[order], d_deg[order]
-        if len(d_src) == 0:                # bucket with no out-edges
-            outdeg = np.zeros(len(n_ids), dtype=np.int64)
-        else:
-            pos = np.searchsorted(d_src, n_ids)
-            ok = (pos < len(d_src))
-            safe = np.where(ok, pos, 0)
-            outdeg = np.where(ok & (d_src[safe] == n_ids),
-                              d_deg[safe], 0)
-        return pa.table({"node": nt["node"], "rank": nt["rank"],
-                         "outdeg": i64(outdeg),
-                         "__bucket": nt["__bucket"]})
-
-    deg_tagged = deg.map_batches(
-        lambda t: pa.table({
-            "src": t["src"], "outdeg": t["outdeg"],
-            "node": pa.nulls(t.num_rows, type=pa.int64()),
-            "rank": pa.nulls(t.num_rows, type=pa.int64()),
-        }).append_column("__bucket", _bucket_of(t, ["src"], num_buckets)),
-        batch_format="pyarrow")
-    nodes_tagged = nodes.map_batches(
-        lambda t: pa.table({
-            "src": pa.nulls(t.num_rows, type=pa.int64()),
-            "outdeg": pa.nulls(t.num_rows, type=pa.int64()),
-            "node": t["node"], "rank": t["rank"],
-            "__bucket": t["__bucket"]}),
-        batch_format="pyarrow")
-    state = (nodes_tagged.union(deg_tagged).groupby("__bucket")
-             .map_groups(with_deg, batch_format="pyarrow")
-             .repartition(num_buckets).materialize())
-
-    # union schemas for the two per-iteration exchanges
-    def scatter_kernel(g: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        g = g.combine_chunks()
-        is_edge = pc.is_valid(g["dst"])
-        et = g.filter(is_edge)
-        st = g.filter(pc.invert(is_edge))
-        empty = pa.table({"node": pa.array([], type=pa.int64()),
-                          "s": pa.array([], type=pa.int64())})
-        if et.num_rows == 0 or st.num_rows == 0:
-            return empty
-        src_e = et["src"].to_numpy(zero_copy_only=False)
-        dst_e = et["dst"].to_numpy(zero_copy_only=False)
-        node_s = st["node"].to_numpy(zero_copy_only=False)
-        rank_s = st["rank"].to_numpy(zero_copy_only=False)
-        deg_s = st["outdeg"].to_numpy(zero_copy_only=False)
-        # contribution of each state node: rank // outdeg (0 if dangling)
-        c_s = np.where(deg_s > 0, rank_s // np.maximum(deg_s, 1), 0)
-        order = np.argsort(node_s)            # unique node ids
-        ns, cs = node_s[order], c_s[order]
-        pos = np.searchsorted(ns, src_e)
-        ok = pos < len(ns)
-        safe = np.where(ok, pos, 0)
-        ok &= ns[safe] == src_e
-        c_e = cs[safe][ok]
-        dsts = dst_e[ok]
-        codes, inv = np.unique(dsts, return_inverse=True)
-        acc = np.zeros(len(codes), dtype=np.int64)
-        np.add.at(acc, inv, c_e)
-        return pa.table({"node": i64(codes), "s": i64(acc)})
-
-    def gather_kernel(g: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        g = g.combine_chunks()
-        is_state = pc.is_valid(g["rank"])
-        st = g.filter(is_state)
-        pt = g.filter(pc.invert(is_state))
-        node_s = st["node"].to_numpy(zero_copy_only=False)
-        order = np.argsort(node_s)
-        acc = np.zeros(st.num_rows, dtype=np.int64)
-        if pt.num_rows:
-            node_p = pt["node"].to_numpy(zero_copy_only=False)
-            s_p = pt["s"].to_numpy(zero_copy_only=False)
-            pos = np.searchsorted(node_s[order], node_p)
-            ok = pos < st.num_rows
-            safe = np.where(ok, pos, 0)
-            ok &= node_s[order][safe] == node_p
-            np.add.at(acc, order[safe[ok]], s_p[ok])
-        rank = base + (acc * np.int64(d)) // np.int64(1000)
-        return pa.table({"node": st["node"], "rank": i64(rank),
-                         "outdeg": st["outdeg"],
-                         "__bucket": st["__bucket"]})
-
-    for _ in range(iters):
-        ranks_side = state.map_batches(
-            lambda t: pa.table({
-                "src": pa.nulls(t.num_rows, type=pa.int64()),
-                "dst": pa.nulls(t.num_rows, type=pa.int64()),
-                "node": t["node"], "rank": t["rank"],
-                "outdeg": t["outdeg"], "__bucket": t["__bucket"]}),
-            batch_format="pyarrow")
-        edges_side = eb.map_batches(
-            lambda t: pa.table({
-                "src": t["src"], "dst": t["dst"],
-                "node": pa.nulls(t.num_rows, type=pa.int64()),
-                "rank": pa.nulls(t.num_rows, type=pa.int64()),
-                "outdeg": pa.nulls(t.num_rows, type=pa.int64()),
-                "__bucket": t["__bucket"]}),
-            batch_format="pyarrow")
-        partials = (edges_side.union(ranks_side).groupby("__bucket")
-                    .map_groups(scatter_kernel, batch_format="pyarrow"))
-
-        partials_side = partials.map_batches(
-            lambda t: pa.table({
-                "node": t["node"], "s": t["s"],
-                "rank": pa.nulls(t.num_rows, type=pa.int64()),
-                "outdeg": pa.nulls(t.num_rows, type=pa.int64()),
-            }).append_column("__bucket",
-                             _bucket_of(t, ["node"], num_buckets)),
-            batch_format="pyarrow")
-        state_side = state.map_batches(
-            lambda t: pa.table({
-                "node": t["node"],
-                "s": pa.nulls(t.num_rows, type=pa.int64()),
-                "rank": t["rank"], "outdeg": t["outdeg"],
-                "__bucket": t["__bucket"]}),
-            batch_format="pyarrow")
-        state = (partials_side.union(state_side).groupby("__bucket")
-                 .map_groups(gather_kernel, batch_format="pyarrow")
-                 .repartition(num_buckets).materialize())
-
-    return state.map_batches(
-        lambda t: t.select(["node", "rank"]), batch_format="pyarrow")
+    cols = ("src", "dst", "w") if weighted else ("src", "dst")
+    with bsp.started(bsp.PRShard, SCALE, damping_permille,
+                     weighted) as shards:
+        bsp.load(edges, shards, "set_edges", bsp.int_columns(*cols), "src")
+        bsp.init_nodes(shards, num_nodes)
+        if weighted:
+            guards = ray.get([s.weight_guard.remote() for s in shards])
+            max_w = max(g[0] for g in guards)
+            max_W = max(g[1] for g in guards)
+            if max_w > 0 and max_w * max_W >= 2 ** 63:
+                raise ValueError("pagerank_weighted int64 overflow: "
+                                 f"max(w)={max_w} * max(W)={max_W} "
+                                 f">= 2**63")
+        for _ in range(iters):
+            bsp.superstep(shards)
+        return bsp.collect(shards)
 
 
-def resolve_redirects(edges, hop_cap: int = 8, num_buckets: int = 32,
-                      engine: str = "actor"):
+def resolve_redirects(edges, hop_cap: int = 8):
     """Redirect-chain resolution over ``(src, dst)`` redirect edges — the
     other classic post-crawl link job: every crawler accumulates a
     redirect map (301/302/canonical rows) and needs, per source URL, the
@@ -283,115 +117,41 @@ def resolve_redirects(edges, hop_cap: int = 8, num_buckets: int = 32,
     diverge between ``hop_cap`` and ``2^rounds``).
 
     Precondition: ``src`` is unique (a redirect map is a function; HTTP
-    gives one Location per URL). Duplicate srcs would fan out the
-    composition join.
+    gives one Location per URL). A repeated src is a ``ValueError``
+    naming it.
 
-    Shuffle shape: ``log2(hop_cap) + 1`` hash-bucket exchanges of narrow
-    (src, cur, hops) rows — no driver materialization, no broadcast;
-    per-bucket memory is O(rows/buckets). Each round is FUSED: the state
-    materializes once and feeds both sides of the self-join (probe rows
-    bucketed by hash(cur), map rows by hash(src), same hash), and the
-    per-bucket kernel composes in place — a generic two-sided
-    ``hash_bucket_join`` per round would materialize the same rows twice
-    and pay an extra post-join pass (the first version did; ~2x the
-    Dataset executions for identical output). Returns a Dataset of
-    ``(src_url, final_url, hops, is_cycle)``, one row per source.
-    """
-    if engine == "actor":
-        # fused BSP pointer doubling (bsp.resolve_redirects_bsp):
-        # bit-identical, zero Dataset executions inside the rounds
-        from .bsp import resolve_redirects_bsp
-
-        return resolve_redirects_bsp(edges, hop_cap=hop_cap,
-                                     num_buckets=num_buckets)
-
-    import pandas as pd
-
-    from .joins import _bucket_of
+    Execution: the state rows are loaded once into the shard of their
+    src, which makes each shard the owner of its slice of the
+    ``src -> state`` map. A doubling round is two message exchanges:
+    each shard sends its distinct ``cur`` values to their owners, and the
+    owners answer with ``(next, hops)``; a final exchange asks whether
+    each ``cur`` is still a source. Only distinct narrow strings move.
+    Returns a Dataset of ``(src_url, final_url, hops, is_cycle)``, one
+    row per source."""
+    import ray
 
     rounds = int(np.log2(hop_cap))
     if 2 ** rounds != hop_cap:
         raise ValueError(f"hop_cap must be a power of two, got {hop_cap}")
 
-    def init(t: pa.Table) -> pa.Table:
-        return pa.table({"src": t["src"], "cur": t["dst"],
-                         "hops": pa.array(np.ones(t.num_rows,
-                                                  dtype=np.int64))})
-
-    state = edges.map_batches(init, batch_format="pyarrow")
-
-    # tag one materialized state twice: probe rows keyed by cur, map
-    # rows keyed by src. key is a separate column so both sides bucket
-    # through the identical _bucket_of(["key"]).
-    def tag(side: int, key_col: str):
-        def fn(t: pa.Table) -> pa.Table:
-            out = pa.table({
-                "key": t[key_col], "src": t["src"], "cur": t["cur"],
-                "hops": t["hops"],
-            })
-            out = out.append_column(
-                "__bucket", _bucket_of(out, ["key"], num_buckets))
-            return out.append_column(
-                "__side", pa.array(np.full(t.num_rows, side,
-                                           dtype=np.int8)))
-        return fn
-
-    def compose_kernel(g: pa.Table) -> pa.Table:
-        df = g.to_pandas()
-        m = df[df["__side"] == 1].set_index("key")
-        p = df[df["__side"] == 0]
-        nxt = p["key"].map(m["cur"])           # key == p.cur
-        h2 = p["key"].map(m["hops"])
-        cur = nxt.fillna(p["cur"])
-        hops = (p["hops"] + h2.fillna(0)).astype(np.int64)
-        return pa.table({
-            "src": pa.array(p["src"].to_numpy(), type=pa.string()),
-            "cur": pa.array(cur.to_numpy(), type=pa.string()),
-            "hops": pa.array(hops.to_numpy()),
-        })
-
-    for _ in range(rounds):
-        st = state.materialize()
-        u = st.map_batches(tag(0, "cur"), batch_format="pyarrow").union(
-            st.map_batches(tag(1, "src"), batch_format="pyarrow"))
-        state = u.groupby("__bucket").map_groups(
-            compose_kernel, batch_format="pyarrow")
-
-    # terminal test, same fused shape: cur still appearing as a source
-    # => unresolved (loop or chain longer than hop_cap). src is unique,
-    # so the lookup cannot multiply rows.
-    def tag_srcs(t: pa.Table) -> pa.Table:
-        out = pa.table({
-            "key": t["src"],
-            "src": pa.nulls(t.num_rows, type=pa.string()),
-            "cur": pa.nulls(t.num_rows, type=pa.string()),
-            "hops": pa.array(np.zeros(t.num_rows, dtype=np.int64)),
-        })
-        out = out.append_column(
-            "__bucket", _bucket_of(out, ["key"], num_buckets))
-        return out.append_column(
-            "__side", pa.array(np.ones(t.num_rows, dtype=np.int8)))
-
-    def finish_kernel(g: pa.Table) -> pa.Table:
-        df = g.to_pandas()
-        src_set = set(df.loc[df["__side"] == 1, "key"])
-        p = df[df["__side"] == 0]
-        cyc = p["key"].isin(src_set).to_numpy()
-        return pa.table({
-            "src_url": pa.array(p["src"].to_numpy(), type=pa.string()),
-            "final_url": pa.array(
-                np.where(cyc, "", p["cur"].to_numpy()),
-                type=pa.string()),
-            "hops": pa.array(
-                np.where(cyc, -1, p["hops"].to_numpy()).astype(np.int64)),
-            "is_cycle": pa.array(cyc),
-        })
-
-    u = state.materialize().map_batches(tag(0, "cur"),
-                                        batch_format="pyarrow").union(
-        edges.map_batches(tag_srcs, batch_format="pyarrow"))
-    return u.groupby("__bucket").map_groups(
-        finish_kernel, batch_format="pyarrow")
+    with bsp.started(bsp.RDShard) as shards:
+        bsp.load(edges, shards, "set_state",
+                 lambda t: pa.table({"src": t["src"], "cur": t["dst"]}),
+                 "src")
+        dups = [d for d in ray.get([s.duplicate_src.remote()
+                                    for s in shards]) if d is not None]
+        if dups:
+            raise ValueError(f"resolve_redirects: src {dups[0]!r} has more "
+                             f"than one redirect row; src must be unique")
+        for _ in range(rounds):
+            asked = bsp.exchange(shards, "queries")
+            ray.get(bsp.deliver(shards, "apply",
+                                bsp.exchange(shards, "answer", asked)))
+        # terminal test: a cur that is still a source is unresolved (a
+        # loop or a chain longer than hop_cap)
+        asked = bsp.exchange(shards, "queries")
+        return bsp.collect(shards, "finish",
+                           bsp.exchange(shards, "exists", asked))
 
 
 def anchor_topk(links, k: int = 3, num_buckets: int = 32):
@@ -604,8 +364,7 @@ def outlink_diversity(links, num_buckets: int = 32):
 HITS_SCALE = 10**6
 
 
-def hits(edges, num_nodes: int, iters: int = 3, num_buckets: int = 32,
-         engine: str = "actor"):
+def hits(edges, num_nodes: int, iters: int = 3):
     """Integer fixed-point HITS (Kleinberg '99, "Authoritative sources
     in a hyperlinked environment") over an edge Dataset ``(src, dst)``
     with nodes ``0..num_nodes-1`` — the hub/authority dual of
@@ -619,189 +378,44 @@ def hits(edges, num_nodes: int, iters: int = 3, num_buckets: int = 32,
     then ``raw_h[u] = sum over out-edges (u, v) of a[v]`` and the same
     normalization for ``h``. ``a0 = h0 = HITS_SCALE``. Every op is
     int64 addition / multiply / floor-division, so the result is
-    order-independent under Ray's shuffle and bit-identical to a DuckDB
-    unroll. Range guard: ``num_nodes * HITS_SCALE**2 < 2**63`` (~9.2M
-    nodes at the default grid; lower HITS_SCALE for bigger graphs —
-    precision trades against range explicitly, the pagerank convention).
+    order-independent and bit-identical to a DuckDB unroll. Range guard:
+    ``num_nodes * HITS_SCALE**2 < 2**63`` (~9.2M nodes at the default
+    grid; lower HITS_SCALE for bigger graphs — precision trades against
+    range explicitly, the pagerank convention).
 
-    Shuffle shape per iteration: FOUR bucket exchanges (a-scatter,
-    a-gather, h-scatter, h-gather — two directions instead of
-    pagerank's one) plus two counts-only global ``max`` reduces for the
-    normalizers (1 row each to the driver; the normalized update is a
-    streaming map with a broadcast scalar). Edges are bucketed ONCE per
-    direction (hash(src) and hash(dst)) and reused every iteration;
-    everything that moves is (int64, int64) rows."""
-    if engine == "actor":
-        from .bsp import hits_bsp
-
-        return hits_bsp(edges, num_nodes, iters=iters,
-                        num_buckets=num_buckets)
-
-    import pyarrow.compute as pc
-    import ray.data as rd
-
-    from .joins import _bucket_of
+    Execution: the edges are loaded twice, once sharded by src (the
+    authority step) and once by dst (the hub step). Each half-step is
+    one scatter/gather message round of per-node partial sums plus one
+    scalar max per shard, which the driver reduces and broadcasts back
+    as the normalizer."""
+    import ray
 
     if num_nodes * HITS_SCALE * HITS_SCALE >= 2 ** 63:
         raise ValueError(
             f"hits int64 overflow: num_nodes ({num_nodes}) * "
             f"HITS_SCALE^2 >= 2**63; reduce graph.HITS_SCALE")
 
-    def i64(x) -> pa.Array:
-        return pa.array(np.asarray(x, dtype=np.int64))
-
-    def tag_edges(key):
-        def fn(t: pa.Table) -> pa.Table:
-            out = pa.table({"src": t["src"].cast(pa.int64()),
-                            "dst": t["dst"].cast(pa.int64())})
-            return out.append_column(
-                "__bucket", _bucket_of(out, [key], num_buckets))
-        return fn
-
-    eb_src = edges.map_batches(tag_edges("src"),
-                               batch_format="pyarrow").materialize()
-    eb_dst = edges.map_batches(tag_edges("dst"),
-                               batch_format="pyarrow").materialize()
-
-    def init_state(t: pa.Table) -> pa.Table:
-        out = pa.table({"node": t["id"].cast(pa.int64())})
-        out = out.append_column("h", i64(np.full(t.num_rows, HITS_SCALE)))
-        out = out.append_column("a", i64(np.full(t.num_rows, HITS_SCALE)))
-        return out.append_column(
-            "__bucket", _bucket_of(out, ["node"], num_buckets))
-
-    state = rd.range(num_nodes).map_batches(
-        init_state, batch_format="pyarrow").materialize()
-
-    def scatter(st, eb, join_key: str, val_col: str, emit_key: str):
-        """join state[val_col] onto edges at join_key (= node id), emit
-        per-emit_key partial sums — one row per distinct emit_key per
-        bucket."""
-        state_side = st.map_batches(
-            lambda t: pa.table({
-                "src": pa.nulls(t.num_rows, type=pa.int64()),
-                "dst": pa.nulls(t.num_rows, type=pa.int64()),
-                "node": t["node"], "val": t[val_col],
-                "__bucket": t["__bucket"]}),
-            batch_format="pyarrow")
-        edges_side = eb.map_batches(
-            lambda t: pa.table({
-                "src": t["src"], "dst": t["dst"],
-                "node": pa.nulls(t.num_rows, type=pa.int64()),
-                "val": pa.nulls(t.num_rows, type=pa.int64()),
-                "__bucket": t["__bucket"]}),
-            batch_format="pyarrow")
-
-        def kernel(g: pa.Table) -> pa.Table:
-            g = g.combine_chunks()
-            is_edge = pc.is_valid(g["dst"])
-            et = g.filter(is_edge)
-            st_ = g.filter(pc.invert(is_edge))
-            if et.num_rows == 0 or st_.num_rows == 0:
-                return pa.table({"node": pa.array([], type=pa.int64()),
-                                 "s": pa.array([], type=pa.int64())})
-            jk = et[join_key].to_numpy(zero_copy_only=False)
-            ek = et[emit_key].to_numpy(zero_copy_only=False)
-            ns = st_["node"].to_numpy(zero_copy_only=False)
-            vs = st_["val"].to_numpy(zero_copy_only=False)
-            order = np.argsort(ns)
-            ns, vs = ns[order], vs[order]
-            pos = np.searchsorted(ns, jk)
-            ok = pos < len(ns)
-            safe = np.where(ok, pos, 0)
-            ok &= ns[safe] == jk
-            vals = vs[safe][ok]
-            keys = ek[ok]
-            codes, inv = np.unique(keys, return_inverse=True)
-            acc = np.zeros(len(codes), dtype=np.int64)
-            np.add.at(acc, inv, vals)
-            return pa.table({"node": i64(codes), "s": i64(acc)})
-
-        return (edges_side.union(state_side).groupby("__bucket")
-                .map_groups(kernel, batch_format="pyarrow"))
-
-    def gather_raw(st, partials, raw_col: str):
-        """fold per-node partials into the state as raw_col (0 default)."""
-        partials_side = partials.map_batches(
-            lambda t: pa.table({
-                "node": t["node"], "s": t["s"],
-                "h": pa.nulls(t.num_rows, type=pa.int64()),
-                "a": pa.nulls(t.num_rows, type=pa.int64()),
-            }).append_column("__bucket",
-                             _bucket_of(t, ["node"], num_buckets)),
-            batch_format="pyarrow")
-        state_side = st.map_batches(
-            lambda t: pa.table({
-                "node": t["node"],
-                "s": pa.nulls(t.num_rows, type=pa.int64()),
-                "h": t["h"], "a": t["a"], "__bucket": t["__bucket"]}),
-            batch_format="pyarrow")
-
-        def kernel(g: pa.Table) -> pa.Table:
-            g = g.combine_chunks()
-            is_state = pc.is_valid(g["h"])
-            st_ = g.filter(is_state)
-            pt = g.filter(pc.invert(is_state))
-            ns = st_["node"].to_numpy(zero_copy_only=False)
-            order = np.argsort(ns)
-            acc = np.zeros(st_.num_rows, dtype=np.int64)
-            if pt.num_rows:
-                np_ = pt["node"].to_numpy(zero_copy_only=False)
-                sp = pt["s"].to_numpy(zero_copy_only=False)
-                pos = np.searchsorted(ns[order], np_)
-                ok = pos < st_.num_rows
-                safe = np.where(ok, pos, 0)
-                ok &= ns[order][safe] == np_
-                np.add.at(acc, order[safe[ok]], sp[ok])
-            cols = {"node": st_["node"], "h": st_["h"], "a": st_["a"],
-                    "__bucket": st_["__bucket"]}
-            cols[raw_col] = i64(acc)
-            return pa.table(cols)
-
-        return (partials_side.union(state_side).groupby("__bucket")
-                .map_groups(kernel, batch_format="pyarrow")
-                .repartition(num_buckets).materialize())
-
-    def normalize(st, raw_col: str, out_col: str):
-        rmax = int(st.max(raw_col) or 0)
-
-        def fn(t: pa.Table) -> pa.Table:
-            raw = t[raw_col].to_numpy(zero_copy_only=False)
-            if rmax > 0:
-                newv = raw * np.int64(HITS_SCALE) // np.int64(rmax)
-            else:
-                newv = np.zeros(len(raw), dtype=np.int64)
-            cols = {"node": t["node"], "h": t["h"], "a": t["a"],
-                    "__bucket": t["__bucket"]}
-            cols[out_col] = i64(newv)
-            return pa.table(cols)
-
-        return st.map_batches(fn, batch_format="pyarrow")
-
-    for _ in range(iters):
-        # authority step: a[v] <- sum of h over in-edges, then normalize
-        pa_ = scatter(state, eb_src, "src", "h", "dst")
-        state = gather_raw(state, pa_, "ra")
-        state = normalize(state, "ra", "a").materialize()
-        # hub step: h[u] <- sum of NEW a over out-edges, then normalize
-        ph = scatter(state, eb_dst, "dst", "a", "src")
-        state = gather_raw(state, ph, "rh")
-        state = normalize(state, "rh", "h").materialize()
-
-    return state.map_batches(
-        lambda t: pa.table({"node": t["node"], "hub": t["h"],
-                            "auth": t["a"]}),
-        batch_format="pyarrow")
+    project = bsp.int_columns("src", "dst")
+    with bsp.started(bsp.HITSShard, HITS_SCALE) as shards:
+        bsp.load(edges, shards, "set_edges_src", project, "src")
+        bsp.load(edges, shards, "set_edges_dst", project, "dst")
+        bsp.init_nodes(shards, num_nodes)
+        for _ in range(iters):
+            # authority half-step (uses h), then hub half-step (uses the
+            # NEW a)
+            for which in ("a", "h"):
+                gmax = max(bsp.superstep(shards, which))
+                ray.get([s.normalize.remote(which, gmax) for s in shards])
+        return bsp.collect(shards)
 
 
 def pagerank_weighted(edges, num_nodes: int, iters: int = 5,
-                      damping_permille: int = 850,
-                      num_buckets: int = 32, engine: str = "actor"):
+                      damping_permille: int = 850):
     """Weighted integer fixed-point PageRank over ``(src, dst, w)``
     edges — the host-graph variant (a host pair carrying 10^4 page
     links must pull more rank than a single stray link; unweighted
     PageRank over a compressed host graph discards exactly that
-    signal). Same grid, damping and exchange plan as :func:`pagerank`;
+    signal). Same grid, damping and execution as :func:`pagerank`;
     the per-edge contribution becomes ``rank * w // W_u`` (``W_u`` =
     total out-weight), computed in int64 WITHOUT 128-bit arithmetic via
     the exact split ``(r // W) * w + ((r % W) * w) // W`` — identical
@@ -810,192 +424,11 @@ def pagerank_weighted(edges, num_nodes: int, iters: int = 5,
 
     Int64 range guards: the pagerank node bound, plus
     ``max(w) * max(W_u) < 2**63`` so the split's middle product never
-    wraps (checked with two cheap aggregates at entry — weights are
-    link counts, so this holds until a single host pair carries ~10^9
-    links against a 10^9-weight hub)."""
-    if engine == "actor":
-        from .bsp import pagerank_bsp
-
-        return pagerank_bsp(edges, num_nodes, iters=iters,
-                            damping_permille=damping_permille,
-                            num_buckets=num_buckets, weighted=True)
-
-    import pyarrow.compute as pc
-    import ray.data as rd
-    from ray.data.aggregate import Sum
-
-    from .joins import _bucket_of
-
-    if num_nodes * SCALE * 1000 >= 2 ** 63:
-        raise ValueError(
-            f"pagerank_weighted int64 overflow: num_nodes ({num_nodes})"
-            f" * SCALE ({SCALE}) * 1000 >= 2**63")
-
-    base = (1000 - damping_permille) * SCALE // 1000
-    d = damping_permille
-
-    def i64(x) -> pa.Array:
-        return pa.array(np.asarray(x, dtype=np.int64))
-
-    def tag_edges(t: pa.Table) -> pa.Table:
-        out = pa.table({"src": t["src"].cast(pa.int64()),
-                        "dst": t["dst"].cast(pa.int64()),
-                        "w": t["w"].cast(pa.int64())})
-        return out.append_column("__bucket",
-                                 _bucket_of(out, ["src"], num_buckets))
-
-    eb = edges.map_batches(tag_edges, batch_format="pyarrow").materialize()
-    wdeg = eb.groupby("src").aggregate(Sum("w", alias_name="wout"))
-    max_w = int(eb.max("w") or 0)
-    max_W = int(wdeg.max("wout") or 0)
-    if max_w > 0 and max_w * max_W >= 2 ** 63:
-        raise ValueError("pagerank_weighted int64 overflow: "
-                         f"max(w)={max_w} * max(W)={max_W} >= 2**63")
-
-    def init_state(t: pa.Table) -> pa.Table:
-        out = pa.table({"node": t["id"].cast(pa.int64())})
-        out = out.append_column("rank", i64(np.full(t.num_rows, SCALE)))
-        return out.append_column(
-            "__bucket", _bucket_of(out, ["node"], num_buckets))
-
-    nodes = rd.range(num_nodes).map_batches(init_state,
-                                            batch_format="pyarrow")
-
-    def with_deg(t: pa.Table) -> pa.Table:
-        t = t.combine_chunks()
-        is_node = pc.is_valid(t["node"])
-        nt = t.filter(is_node)
-        dt = t.filter(pc.invert(is_node))
-        n_ids = nt["node"].to_numpy(zero_copy_only=False)
-        d_src = dt["src"].to_numpy(zero_copy_only=False).astype(np.int64)
-        d_deg = dt["wout"].to_numpy(zero_copy_only=False).astype(np.int64)
-        order = np.argsort(d_src)
-        d_src, d_deg = d_src[order], d_deg[order]
-        if len(d_src) == 0:                # bucket with no out-edges
-            wout = np.zeros(len(n_ids), dtype=np.int64)
-        else:
-            pos = np.searchsorted(d_src, n_ids)
-            ok = (pos < len(d_src))
-            safe = np.where(ok, pos, 0)
-            wout = np.where(ok & (d_src[safe] == n_ids), d_deg[safe], 0)
-        return pa.table({"node": nt["node"], "rank": nt["rank"],
-                         "wout": i64(wout), "__bucket": nt["__bucket"]})
-
-    deg_tagged = wdeg.map_batches(
-        lambda t: pa.table({
-            "src": t["src"], "wout": t["wout"],
-            "node": pa.nulls(t.num_rows, type=pa.int64()),
-            "rank": pa.nulls(t.num_rows, type=pa.int64()),
-        }).append_column("__bucket", _bucket_of(t, ["src"], num_buckets)),
-        batch_format="pyarrow")
-    nodes_tagged = nodes.map_batches(
-        lambda t: pa.table({
-            "src": pa.nulls(t.num_rows, type=pa.int64()),
-            "wout": pa.nulls(t.num_rows, type=pa.int64()),
-            "node": t["node"], "rank": t["rank"],
-            "__bucket": t["__bucket"]}),
-        batch_format="pyarrow")
-    state = (nodes_tagged.union(deg_tagged).groupby("__bucket")
-             .map_groups(with_deg, batch_format="pyarrow")
-             .repartition(num_buckets).materialize())
-
-    def scatter_kernel(g: pa.Table) -> pa.Table:
-        g = g.combine_chunks()
-        is_edge = pc.is_valid(g["dst"])
-        et = g.filter(is_edge)
-        st = g.filter(pc.invert(is_edge))
-        empty = pa.table({"node": pa.array([], type=pa.int64()),
-                          "s": pa.array([], type=pa.int64())})
-        if et.num_rows == 0 or st.num_rows == 0:
-            return empty
-        src_e = et["src"].to_numpy(zero_copy_only=False)
-        dst_e = et["dst"].to_numpy(zero_copy_only=False)
-        w_e = et["w"].to_numpy(zero_copy_only=False)
-        node_s = st["node"].to_numpy(zero_copy_only=False)
-        rank_s = st["rank"].to_numpy(zero_copy_only=False)
-        deg_s = st["wout"].to_numpy(zero_copy_only=False)
-        order = np.argsort(node_s)
-        ns = node_s[order]
-        rs, ws = rank_s[order], deg_s[order]
-        pos = np.searchsorted(ns, src_e)
-        ok = pos < len(ns)
-        safe = np.where(ok, pos, 0)
-        ok &= ns[safe] == src_e
-        r_e = rs[safe][ok]
-        W_e = ws[safe][ok]
-        w_ok = w_e[ok]
-        dsts = dst_e[ok]
-        Wc = np.maximum(W_e, 1)
-        # exact split of rank * w // W without 128-bit intermediates
-        c_e = np.where(
-            W_e > 0,
-            (r_e // Wc) * w_ok + ((r_e % Wc) * w_ok) // Wc, 0)
-        codes, inv = np.unique(dsts, return_inverse=True)
-        acc = np.zeros(len(codes), dtype=np.int64)
-        np.add.at(acc, inv, c_e)
-        return pa.table({"node": i64(codes), "s": i64(acc)})
-
-    def gather_kernel(g: pa.Table) -> pa.Table:
-        g = g.combine_chunks()
-        is_state = pc.is_valid(g["rank"])
-        st = g.filter(is_state)
-        pt = g.filter(pc.invert(is_state))
-        node_s = st["node"].to_numpy(zero_copy_only=False)
-        order = np.argsort(node_s)
-        acc = np.zeros(st.num_rows, dtype=np.int64)
-        if pt.num_rows:
-            node_p = pt["node"].to_numpy(zero_copy_only=False)
-            s_p = pt["s"].to_numpy(zero_copy_only=False)
-            pos = np.searchsorted(node_s[order], node_p)
-            ok = pos < st.num_rows
-            safe = np.where(ok, pos, 0)
-            ok &= node_s[order][safe] == node_p
-            np.add.at(acc, order[safe[ok]], s_p[ok])
-        rank = base + (acc * np.int64(d)) // np.int64(1000)
-        return pa.table({"node": st["node"], "rank": i64(rank),
-                         "wout": st["wout"], "__bucket": st["__bucket"]})
-
-    for _ in range(iters):
-        ranks_side = state.map_batches(
-            lambda t: pa.table({
-                "src": pa.nulls(t.num_rows, type=pa.int64()),
-                "dst": pa.nulls(t.num_rows, type=pa.int64()),
-                "w": pa.nulls(t.num_rows, type=pa.int64()),
-                "node": t["node"], "rank": t["rank"],
-                "wout": t["wout"], "__bucket": t["__bucket"]}),
-            batch_format="pyarrow")
-        edges_side = eb.map_batches(
-            lambda t: pa.table({
-                "src": t["src"], "dst": t["dst"], "w": t["w"],
-                "node": pa.nulls(t.num_rows, type=pa.int64()),
-                "rank": pa.nulls(t.num_rows, type=pa.int64()),
-                "wout": pa.nulls(t.num_rows, type=pa.int64()),
-                "__bucket": t["__bucket"]}),
-            batch_format="pyarrow")
-        partials = (edges_side.union(ranks_side).groupby("__bucket")
-                    .map_groups(scatter_kernel, batch_format="pyarrow"))
-
-        partials_side = partials.map_batches(
-            lambda t: pa.table({
-                "node": t["node"], "s": t["s"],
-                "rank": pa.nulls(t.num_rows, type=pa.int64()),
-                "wout": pa.nulls(t.num_rows, type=pa.int64()),
-            }).append_column("__bucket",
-                             _bucket_of(t, ["node"], num_buckets)),
-            batch_format="pyarrow")
-        state_side = state.map_batches(
-            lambda t: pa.table({
-                "node": t["node"],
-                "s": pa.nulls(t.num_rows, type=pa.int64()),
-                "rank": t["rank"], "wout": t["wout"],
-                "__bucket": t["__bucket"]}),
-            batch_format="pyarrow")
-        state = (partials_side.union(state_side).groupby("__bucket")
-                 .map_groups(gather_kernel, batch_format="pyarrow")
-                 .repartition(num_buckets).materialize())
-
-    return state.map_batches(
-        lambda t: t.select(["node", "rank"]), batch_format="pyarrow")
+    wraps (checked on the loaded shards before the first iteration —
+    weights are link counts, so this holds until a single host pair
+    carries ~10^9 links against a 10^9-weight hub)."""
+    return _pagerank(edges, num_nodes, iters, damping_permille,
+                     weighted=True)
 
 
 def reciprocal_edges(edges, num_buckets: int = 32):
@@ -1144,8 +577,7 @@ def degree_histogram(edges, num_buckets: int = 32):
             .aggregate(Sum("n_nodes", alias_name="n_nodes")))
 
 
-def hyperball(edges, num_nodes: int, iters: int = 2, p: int = 6,
-              num_buckets: int = 32, engine: str = "actor"):
+def hyperball(edges, num_nodes: int, iters: int = 2, p: int = 6):
     """HyperBall (Boldi & Vigna, WWW'13 — "In-core computation of
     geometric centralities with HyperBall"): the neighborhood function
     N(v, t) = |{nodes reachable from v in <= t hops}| estimated per node
@@ -1164,88 +596,17 @@ def hyperball(edges, num_nodes: int, iters: int = 2, p: int = 6,
     can get wrong). rho is computed with an integer boundary correction
     so float rounding above 2^53 can never shift it.
 
-    Shuffle plan per iteration: ONE dst-keyed bucket join (register
-    rows ride to their in-neighbors... strictly: each edge (src, dst)
-    pulls dst's registers to src) + ONE (node, b) groupby-max fold of
-    |E| x m-sparse register rows. Registers stay SPARSE (only set
-    buckets exist as rows); absent registers count into v_zero at the
-    end."""
-    if engine == "actor":
-        from .bsp import hyperball_bsp
-
-        return hyperball_bsp(edges, num_nodes, iters=iters, p=p,
-                             num_buckets=num_buckets)
-
-    import ray.data as rd
-    from ray.data.aggregate import Max
-
-    from .joins import hash_bucket_join
-    from .sketch import _hash64
-
-    m = 1 << p
-    wbits = 64 - p
-
-    def i64(x) -> pa.Array:
-        return pa.array(np.asarray(x, dtype=np.int64))
-
-    def init_regs(t: pa.Table) -> pa.Table:
-        nodes = t["id"].cast(pa.int64()).to_numpy(zero_copy_only=False)
-        h = _hash64([str(int(v)) for v in nodes], oracle_parity=True)
-        b = (h >> np.uint64(wbits)).astype(np.int64)
-        w = (h & np.uint64((1 << wbits) - 1)).astype(np.int64)
-        rho = np.full(len(w), wbits + 1, dtype=np.int64)
-        nz = w > 0
-        if nz.any():
-            e = np.frexp(w[nz].astype(np.float64))[1].astype(np.int64)
-            # integer boundary correction: 2^(e-1) <= w < 2^e exactly
-            e = np.where((np.int64(1) << np.minimum(e, 62)) <= w[nz],
-                         e + 1, e)
-            e = np.where((np.int64(1) << np.maximum(e - 1, 0)) > w[nz],
-                         e - 1, e)
-            rho[nz] = wbits - (e - 1)
-        return pa.table({"node": i64(nodes), "b": i64(b),
-                         "r": i64(rho)})
-
-    state = rd.range(num_nodes).map_batches(
-        init_regs, batch_format="pyarrow").materialize()
-
-    def tag_edges(t: pa.Table) -> pa.Table:
-        return pa.table({"src": t["src"].cast(pa.int64()),
-                         "dst": t["dst"].cast(pa.int64())})
-
-    eb = edges.map_batches(tag_edges, batch_format="pyarrow").materialize()
-
-    for _ in range(iters):
-        pulled = hash_bucket_join(
-            eb, state.map_batches(
-                lambda t: pa.table({"dst": t["node"], "b": t["b"],
-                                    "r": t["r"]}),
-                batch_format="pyarrow"),
-            on=["dst"])
-        moved = pulled.map_batches(
-            lambda t: pa.table({"node": t["src"], "b": t["b"],
-                                "r": t["r"]}),
-            batch_format="pyarrow")
-        state = (state.union(moved)
-                 .groupby(["node", "b"])
-                 .aggregate(Max("r", alias_name="r"))).materialize()
-
-    from ray.data.aggregate import Count, Sum
-
-    agg = (state.groupby("node")
-           .aggregate(Count(alias_name="n_set"),
-                      Sum("r", alias_name="sum_r")))
-
-    def finish(t: pa.Table) -> pa.Table:
-        n_set = t["n_set"].to_numpy(zero_copy_only=False).astype(
-            np.int64)
-        return pa.table({
-            "node": t["node"].cast(pa.int64()),
-            "v_zero": i64(m - n_set),
-            "sum_r": t["sum_r"].cast(pa.int64()),
-        })
-
-    return agg.map_batches(finish, batch_format="pyarrow")
+    Execution: edges are sharded by dst, next to the dst's registers.
+    Each iteration is one message round: every shard sends, per src,
+    the elementwise max of its dsts' registers to the src's shard, which
+    folds them into the src's dense register row."""
+    with bsp.started(bsp.HBShard, p) as shards:
+        bsp.load(edges, shards, "set_edges",
+                 bsp.int_columns("src", "dst"), "dst")
+        bsp.init_nodes(shards, num_nodes)
+        for _ in range(iters):
+            bsp.superstep(shards)
+        return bsp.collect(shards, "digest_table")
 
 
 def colink_similarity(links, threshold: float = 0.2,

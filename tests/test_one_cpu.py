@@ -1,7 +1,9 @@
 """Per-batch stage classes run as plain Ray Data tasks, so a stage finishes
-at any CPU count. This test starts its own 1-CPU Ray session in a child
-process, runs the stage-class queries that an actor pool could not finish
-at that size, and checks each against its DuckDB oracle with the
+at any CPU count, and the graph engine sizes its shards to the cluster's
+CPUs. This test starts its own 1-CPU Ray session in a child process, runs
+the stage-class queries that an actor pool could not finish at that size
+and the graph queries (one shard each here, four in the 4-CPU session of
+the oracle tests), and checks each against its DuckDB oracle with the
 correctness gate's own ``compare()``. The child runs in its own process
 group under a hard timeout, so a hang fails this test instead of stalling
 the suite.
@@ -21,7 +23,8 @@ import pytest
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SF = "/root/testdata/sf0.01"
 QUERIES = ["text_stats", "minhash_dup_pairs", "ann_topk", "lsh_ann_topk",
-           "hashed_linear_score"]
+           "hashed_linear_score", "doc_pagerank", "host_rank_weighted",
+           "doc_hits", "hyperball_reach", "resolve_redirects"]
 TIMEOUT_S = 240
 
 

@@ -101,7 +101,7 @@ def test_semdedup_derived_cells_matches_explicit():
     assert auto.equals(manual)
 
 
-# ---- round-5 brief item #2: fused BSP engines vs Dataset engines ----
+# ---- the BSP graph engine against serial integer references ----
 
 
 def _edge_ds(pairs):
@@ -118,19 +118,13 @@ def _rand_edges(n_nodes, n_edges, seed):
     return list(zip(src.tolist(), dst.tolist()))
 
 
-def test_pagerank_bsp_bit_identical_to_dataset():
-    from spatula_ray.stages.graph import pagerank
-
-    edges = _rand_edges(200, 1500, seed=21)
-    a = pagerank(_edge_ds(edges), 200, iters=4, engine="actor") \
-        .to_pandas().sort_values("node").reset_index(drop=True)
-    d = pagerank(_edge_ds(edges), 200, iters=4, engine="dataset") \
-        .to_pandas().sort_values("node").reset_index(drop=True)
-    assert a.equals(d)
+def _sorted(ds, key):
+    return ds.to_pandas().sort_values(key).reset_index(drop=True)
 
 
+@pytest.mark.usefixtures("ray_session")
 def test_pagerank_weighted_bsp_bit_identical():
-    from spatula_ray.stages.graph import pagerank_weighted
+    from spatula_ray.stages.graph import SCALE, pagerank_weighted
 
     rng = np.random.RandomState(31)
     src = rng.randint(0, 80, 600)
@@ -138,15 +132,24 @@ def test_pagerank_weighted_bsp_bit_identical():
     w = rng.randint(1, 50, 600)
     t = pa.table({"src": pa.array(src), "dst": pa.array(dst),
                   "w": pa.array(w)})
-    a = pagerank_weighted(ray.data.from_arrow(t), 80, iters=3,
-                          engine="actor").to_pandas() \
-        .sort_values("node").reset_index(drop=True)
-    d = pagerank_weighted(ray.data.from_arrow(t), 80, iters=3,
-                          engine="dataset").to_pandas() \
-        .sort_values("node").reset_index(drop=True)
-    assert a.equals(d)
+    a = _sorted(pagerank_weighted(ray.data.from_arrow(t), 80, iters=3),
+                "node")
+
+    # serial integer reference: rank[u] * w // W[u] in exact Python ints
+    out_w = [0] * 80
+    for u, x in zip(src.tolist(), w.tolist()):
+        out_w[u] += x
+    rank = [SCALE] * 80
+    for _ in range(3):
+        contrib = [0] * 80
+        for u, v, x in zip(src.tolist(), dst.tolist(), w.tolist()):
+            contrib[v] += rank[u] * x // out_w[u]
+        rank = [150 * SCALE // 1000 + 850 * c // 1000 for c in contrib]
+    assert a["node"].tolist() == list(range(80))
+    assert a["rank"].tolist() == rank
 
 
+@pytest.mark.usefixtures("ray_session")
 def test_resolve_redirects_bsp_bit_identical():
     from spatula_ray.stages.graph import resolve_redirects
 
@@ -160,13 +163,19 @@ def test_resolve_redirects_bsp_bit_identical():
              ("l6", "l7"), ("l7", "l8")]                  # len-8 chain
     t = pa.table({"src": pa.array([e[0] for e in edges]),
                   "dst": pa.array([e[1] for e in edges])})
-    a = resolve_redirects(ray.data.from_arrow(t), hop_cap=8,
-                          engine="actor").to_pandas() \
-        .sort_values("src_url").reset_index(drop=True)
-    d = resolve_redirects(ray.data.from_arrow(t), hop_cap=8,
-                          engine="dataset").to_pandas() \
-        .sort_values("src_url").reset_index(drop=True)
-    assert a.equals(d)
+    a = _sorted(resolve_redirects(ray.data.from_arrow(t), hop_cap=8),
+                "src_url")
+
+    # serial reference: follow at most hop_cap hops; a source whose
+    # last target still redirects is flagged as a cycle
+    m = dict(edges)
+    ref = []
+    for s in sorted(m):
+        cur, hops = m[s], 1
+        while hops < 8 and cur in m:
+            cur, hops = m[cur], hops + 1
+        ref.append((s, "", -1, True) if cur in m else (s, cur, hops, False))
+    assert list(a.itertuples(index=False, name=None)) == ref
     byid = a.set_index("src_url")
     assert byid.loc["a", "final_url"] == "d" and byid.loc["a", "hops"] == 3
     assert bool(byid.loc["x1", "is_cycle"])
@@ -174,42 +183,86 @@ def test_resolve_redirects_bsp_bit_identical():
     assert byid.loc["l0", "final_url"] == "l8" and byid.loc["l0", "hops"] == 8
 
 
+@pytest.mark.usefixtures("ray_session")
 def test_hyperball_bsp_bit_identical():
+    import hashlib
+
     from spatula_ray.stages.graph import hyperball
 
     edges = _rand_edges(120, 700, seed=41)
-    a = hyperball(_edge_ds(edges), 120, iters=2, p=6, engine="actor") \
-        .to_pandas().sort_values("node").reset_index(drop=True)
-    d = hyperball(_edge_ds(edges), 120, iters=2, p=6, engine="dataset") \
-        .to_pandas().sort_values("node").reset_index(drop=True)
-    assert a.equals(d)
+    a = _sorted(hyperball(_edge_ds(edges), 120, iters=2, p=6), "node")
+
+    # serial reference: 64 registers per node from the md5 item hash
+    # (low 8 bytes, little-endian), then synchronous unions of each
+    # src's registers with its dsts'
+    wbits = 64 - 6
+    regs = []
+    for v in range(120):
+        h = int.from_bytes(hashlib.md5(str(v).encode()).digest()[8:],
+                           "little")
+        r = [0] * 64
+        r[h >> wbits] = wbits - (h & ((1 << wbits) - 1)).bit_length() + 1
+        regs.append(r)
+    for _ in range(2):
+        new = [list(r) for r in regs]
+        for u, v in edges:
+            new[u] = [max(x, y) for x, y in zip(new[u], regs[v])]
+        regs = new
+    assert a["node"].tolist() == list(range(120))
+    assert a["v_zero"].tolist() == [r.count(0) for r in regs]
+    assert a["sum_r"].tolist() == [sum(r) for r in regs]
 
 
-def test_bsp_bucket_hash_matches_joins_bucket_of():
-    """The resident-shard bucketing must stay in lockstep with
-    joins._bucket_of or loads land on the wrong shard."""
-    import pandas as pd
-
-    from spatula_ray.stages.bsp import _bucket_i64, _bucket_str
-    from spatula_ray.stages.joins import _bucket_of
-
-    ids = np.array([0, 1, 7, 123456789, 2**40, -1], dtype=np.int64)
-    t = pa.table({"k": pa.array(ids)})
-    expect = _bucket_of(t, ["k"], 32).to_numpy(zero_copy_only=False)
-    assert (_bucket_i64(ids, 32) == expect).all()
-
-    strs = np.array(["a", "http://x/y", "", "zzz"], dtype=object)
-    t2 = pa.table({"k": pa.array(strs.tolist(), type=pa.string())})
-    expect2 = _bucket_of(t2, ["k"], 32).to_numpy(zero_copy_only=False)
-    assert (_bucket_str(strs, 32) == expect2).all()
-
-
+@pytest.mark.usefixtures("ray_session")
 def test_hits_bsp_bit_identical():
-    from spatula_ray.stages.graph import hits
+    from spatula_ray.stages.graph import HITS_SCALE, hits
 
     edges = _rand_edges(150, 900, seed=51)
-    a = hits(_edge_ds(edges), 150, iters=3, engine="actor") \
-        .to_pandas().sort_values("node").reset_index(drop=True)
-    d = hits(_edge_ds(edges), 150, iters=3, engine="dataset") \
-        .to_pandas().sort_values("node").reset_index(drop=True)
-    assert a.equals(d)
+    a = _sorted(hits(_edge_ds(edges), 150, iters=3), "node")
+
+    # serial reference: authority then hub half-step, each max-normalized
+    def normalized(raw):
+        top = max(raw)
+        return [r * HITS_SCALE // top if top > 0 else 0 for r in raw]
+
+    h = [HITS_SCALE] * 150
+    for _ in range(3):
+        raw = [0] * 150
+        for u, v in edges:
+            raw[v] += h[u]
+        auth = normalized(raw)
+        raw = [0] * 150
+        for u, v in edges:
+            raw[u] += auth[v]
+        h = normalized(raw)
+    assert a["node"].tolist() == list(range(150))
+    assert a["hub"].tolist() == h
+    assert a["auth"].tolist() == auth
+
+
+@pytest.mark.usefixtures("ray_session")
+@pytest.mark.parametrize("op", ["pagerank", "pagerank_weighted", "hits",
+                                "hyperball"])
+@pytest.mark.parametrize("bad", [-1, 7])
+def test_graph_ops_reject_node_ids_outside_range(op, bad):
+    """An edge endpoint outside [0, num_nodes) is a driver-side
+    ValueError naming it, not a wrong rank or a crash in a shard."""
+    from spatula_ray.stages import graph
+
+    t = pa.table({"src": pa.array([0, 1, bad], type=pa.int64()),
+                  "dst": pa.array([1, 2, 0], type=pa.int64()),
+                  "w": pa.array([1, 1, 1], type=pa.int64())})
+    if op != "pagerank_weighted":
+        t = t.select(["src", "dst"])
+    with pytest.raises(ValueError, match=rf"{bad} .*num_nodes=3"):
+        getattr(graph, op)(ray.data.from_arrow(t), 3, iters=2)
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_resolve_redirects_rejects_duplicate_src():
+    from spatula_ray.stages.graph import resolve_redirects
+
+    t = pa.table({"src": pa.array(["a", "b", "a"]),
+                  "dst": pa.array(["b", "c", "c"])})
+    with pytest.raises(ValueError, match="'a'"):
+        resolve_redirects(ray.data.from_arrow(t), hop_cap=2)
