@@ -123,6 +123,29 @@ def _sorted(ds, key):
 
 
 @pytest.mark.usefixtures("ray_session")
+def test_pagerank_bsp_bit_identical_to_dataset():
+    """The BSP engine on a 200-node graph against the per-edge integer
+    arithmetic the Dataset engine computed: rank[u] // outdeg[u] summed
+    per target, then damped, in exact Python ints."""
+    from spatula_ray.stages.graph import SCALE, pagerank
+
+    edges = _rand_edges(200, 1500, seed=21)
+    a = _sorted(pagerank(_edge_ds(edges), 200, iters=4), "node")
+
+    outdeg = [0] * 200
+    for u, _ in edges:
+        outdeg[u] += 1
+    rank = [SCALE] * 200
+    for _ in range(4):
+        contrib = [0] * 200
+        for u, v in edges:
+            contrib[v] += rank[u] // outdeg[u]
+        rank = [150 * SCALE // 1000 + 850 * c // 1000 for c in contrib]
+    assert a["node"].tolist() == list(range(200))
+    assert a["rank"].tolist() == rank
+
+
+@pytest.mark.usefixtures("ray_session")
 def test_pagerank_weighted_bsp_bit_identical():
     from spatula_ray.stages.graph import SCALE, pagerank_weighted
 

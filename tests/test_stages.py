@@ -740,32 +740,29 @@ def test_pagerank_integer_exact_vs_reference():
     from spatula_ray.stages.graph import SCALE, pagerank
 
     rng = np.random.default_rng(9)
-    big = np.random.RandomState(21)
-    inputs = [  # (nodes, src, dst, blocks)
-        (40, rng.integers(0, 40, 150), rng.integers(0, 40, 150), 4),
-        (200, big.randint(0, 200, 1500), big.randint(0, 200, 1500), 1)]
-    for n, src, dst, blocks in inputs:
-        src, dst = src.astype(np.int64), dst.astype(np.int64)
-        edges = rd.from_arrow(pa.table({
-            "src": pa.array(src), "dst": pa.array(dst)})).repartition(blocks)
+    n = 40
+    src = rng.integers(0, n, 150).astype(np.int64)
+    dst = rng.integers(0, n, 150).astype(np.int64)
+    edges = rd.from_arrow(pa.table({
+        "src": pa.array(src), "dst": pa.array(dst)})).repartition(4)
 
-        got = pagerank(edges, n, iters=4).to_pandas() \
-            .set_index("node").sort_index()["rank"]
+    got = pagerank(edges, n, iters=4).to_pandas() \
+        .set_index("node").sort_index()["rank"]
 
-        # serial integer reference — must match BIT-EXACTLY (the
-        # operator's whole point: order-independent integer arithmetic)
-        outdeg = np.bincount(src, minlength=n)
-        rank = np.full(n, SCALE, dtype=object)
-        for _ in range(4):
-            contrib = [0] * n
-            for u, v in zip(src, dst):
-                contrib[v] += rank[u] // int(outdeg[u])
-            rank = np.array([150_000_000 + (850 * c) // 1000
-                             for c in contrib], dtype=object)
-        assert got.index.tolist() == list(range(n))
-        assert [int(x) for x in got.tolist()] == [int(x) for x in rank]
-        # mass sanity: total rank stays within the damped bound
-        assert 0 < sum(int(x) for x in rank) <= n * SCALE
+    # serial integer reference — must match BIT-EXACTLY (the operator's
+    # whole point: order-independent integer arithmetic)
+    outdeg = np.bincount(src, minlength=n)
+    rank = np.full(n, SCALE, dtype=object)
+    for _ in range(4):
+        contrib = [0] * n
+        for u, v in zip(src, dst):
+            contrib[v] += rank[u] // int(outdeg[u])
+        rank = np.array([150_000_000 + (850 * c) // 1000
+                         for c in contrib], dtype=object)
+    assert got.index.tolist() == list(range(n))
+    assert [int(x) for x in got.tolist()] == [int(x) for x in rank]
+    # mass sanity: total rank stays within the damped bound
+    assert 0 < sum(int(x) for x in rank) <= n * SCALE
 
 
 @pytest.mark.usefixtures("ray_session")
