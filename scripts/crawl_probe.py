@@ -1,4 +1,8 @@
-"""Crawl-only scaling probe: formula-web crawl at RAY_GRAFT_CPUS."""
+"""Crawl-only scaling probe: formula-web crawl at RAY_GRAFT_CPUS.
+
+Prints one JSON line: CPUs, seconds, pages, waves, URLs/s and the crawl's
+per-wave stats (rows in, deferred, pages, emitted, next rows and seconds
+per phase)."""
 import json
 import os
 import sys
@@ -43,7 +47,8 @@ def main():
     print(json.dumps({"ncpu": ncpu, "sec": round(dt, 2),
                       "pages": res.counters.get("pages"),
                       "waves": res.waves,
-                      "urls_per_sec": round(res.counters.get("pages", 0) / dt, 1)}))
+                      "urls_per_sec": round(res.counters.get("pages", 0) / dt, 1),
+                      "wave_stats": res.wave_stats}))
     ray.shutdown()
 
 

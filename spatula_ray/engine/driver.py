@@ -1,30 +1,36 @@
 """Crawl driver: the per-wave frontier loop.
 
-Each wave is one Ray Data pipeline over the current frontier:
+Each wave is one round of raw Ray tasks over driver-owned object refs; no
+Dataset execution runs inside a crawl:
 
-    frontier -> map_batches(page runner) -> union(emit|page)
-             -> emits   docs (per-wave parquet part files when checkpointed)
-             -> pages   fetch log (lineage/metrics)
-    runner expands -> offer/commit/query against the sharded URL-seen
-                      filter (deterministic min-order winners)
-                   -> next frontier
+    frontier: Arrow blocks in the object store, held as (ref, rows) pairs
+      -> quota select   (quota crawls: priority offer / seal / admit tasks)
+      -> runner tasks   row-balanced slices of the frontier blocks, each
+                        calling the cached PageRunner per batch_size rows
+           returns      docs table, page-log table, counters
+           parks        expand/defer rows on the state hosts, after
+                        offering them to the sharded URL-seen filter
+      -> commit, then election tasks over the parked candidate blocks
+                        (deterministic min-order winners)
+      -> next frontier  winners + quota deferrals, again (ref, rows) pairs
 
-The page-runner stage runs as stateless Ray Data tasks with a per-worker
-runner cache (client/registry built once per worker process and crawl,
-reused across waves — the amortization of an actor pool without paying
-pool re-creation every wave).
+The page runner is built once per worker process and crawl (client,
+registry, broadcast dependency results) and cached there, so a worker pays
+its start-up once per crawl, not once per task.
 Long-lived state (URL-seen shards, host gates, priority shards and the
 current wave's candidate blocks) lives in ``num_cpus=0`` state-host actors
 that survive across waves and snapshot to the checkpoint: each logical
 shard keeps its fixed key routing and is placed on host
 ``shard % n_hosts``, with ``n_hosts = min(max(n_filter_shards, n_gates,
-1), cluster CPUs)`` (see :mod:`.statehost`). Every per-shard fan-out costs
-one RPC per host, and a small session starts one state process per crawl
-instead of one per shard.
+1), cluster CPUs)``. Every per-shard fan-out costs one RPC per host. The
+host processes also outlive the crawl: a crawl leases the session's idle
+hosts, starts new ones only for a shortfall, and hands them back empty
+(see :mod:`.statehost`).
 
 Checkpoint layout (``CrawlConfig.checkpoint_dir``), written once per wave
-W that fetched pages, by one raw-task round over the wave's blocks (no
-Dataset execution) plus one RPC per state host:
+W that fetched pages, by one raw-task round over the runner tasks' docs
+and page-log tables and the next frontier's blocks, plus one RPC per state
+host:
 
     docs/wave_W/part-G.parquet        the wave's docs, one part per task group
     pages/wave_W/part-G.parquet       the wave's fetch log
@@ -32,7 +38,8 @@ Dataset execution) plus one RPC per state host:
     filter/wave_{W+1}/shard_S.bin     each filter shard's sparse snapshot,
                                       written by the host that holds it
     manifest.json                     next wave, frontier row count, counters,
-                                      gate snapshots and the filter directory
+                                      per-wave stats, gate snapshots and
+                                      the filter directory
 
 ``manifest.json`` is replaced atomically and is the only commit point:
 files it does not name (a wave that crashed before its manifest, consumed
@@ -41,12 +48,13 @@ resumed crawl starts, so re-running a wave neither reads a later filter
 nor adds a second copy of its docs. Part names are fixed per (wave,
 group), so a retried write task overwrites its own file.
 
-Scale notes: the frontier never lives on the driver — it stays a
-(materialized) Dataset of Arrow blocks in the object store between waves;
-emits/pages stream straight to parquet partitions; the only driver-side
-values are counts. Skew: a hot host saturates its HostGate shard's wave
-quota and the excess rows defer to later waves, bounding per-wave per-host
-work; other hosts proceed unaffected.
+Scale notes: the frontier never lives on the driver — its blocks stay in
+the object store between waves and the driver holds only their refs and
+row counts; without a checkpoint the docs and page log stay there too, as
+the runner tasks' returns, and the result wraps them as Datasets; with one
+they go to parquet parts per wave. Skew: a hot host saturates its
+HostGate shard's wave quota and the excess rows defer to later waves,
+bounding per-wave per-host work; other hosts proceed unaffected.
 """
 
 from __future__ import annotations
@@ -57,6 +65,7 @@ import os
 import shutil
 import time
 import uuid
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -71,52 +80,108 @@ from .hostgate import HostGate
 from . import priority
 from .pagerun import PageRunner, frontier_row_from_page
 from .schema import (
+    CAND_SCHEMA,
     DOCS_SCHEMA,
-    KIND_DEFER,
+    FRONTIER_SCHEMA,
     KIND_EMIT,
-    KIND_EXPAND,
     KIND_PAGE,
     PAGE_LOG_SCHEMA,
-    UNION_SCHEMA,
     rows_to_table,
 )
-from .statehost import FILTER, GATE, PRIO, StateHost, StateHosts
+from .statehost import FILTER, GATE, PRIO, StateHosts, lease, release
 
 log = logging.getLogger(__name__)
 
-# per-worker-process runner cache (see module docstring)
-_RUNNER_CACHE: Dict[str, PageRunner] = {}
+# per-worker-process runner cache: crawl id -> (runner, docs schema)
+_RUNNER_CACHE: Dict[str, tuple] = {}
+
+# the frontier columns a runner task reads; it stamps ``wave`` itself
+_FRONTIER_COLS = ["row_kind"] + FRONTIER_SCHEMA.names
 
 
-def _page_count_batch(t: pa.Table) -> pa.Table:
-    """Narrow per-batch partial counts over a wave's page-log rows: page
-    total, status histogram, fetch attempts. Emits a tiny (k, v) table the
-    driver sums — distributed aggregation with no shared actor."""
-    keys: List[str] = ["pages", "fetch_attempts", "emitted"]
-    vals: List[int] = [t.num_rows,
-                       int(pc.sum(t["fetch_attempts"]).as_py() or 0),
-                       int(pc.sum(t["n_emitted"]).as_py() or 0)]
-    for entry in pc.value_counts(t["status"].combine_chunks()):
-        keys.append("status:" + entry["values"].as_py())
-        vals.append(entry["counts"].as_py())
-    return pa.table({"k": pa.array(keys, type=pa.string()),
-                     "v": pa.array(vals, type=pa.int64())})
+def _page_counts(pages: pa.Table) -> Dict[str, int]:
+    """Counters of a runner task's page-log rows: page total, fetch
+    attempts, docs emitted and the status histogram. The driver sums them
+    — no shared stats actor."""
+    out = {"pages": pages.num_rows,
+           "fetch_attempts": int(pc.sum(pages["fetch_attempts"]).as_py() or 0),
+           "emitted": int(pc.sum(pages["n_emitted"]).as_py() or 0)}
+    for entry in pc.value_counts(pages["status"].combine_chunks()):
+        out["status:" + entry["values"].as_py()] = entry["counts"].as_py()
+    return out
 
 
-def _split(kind: str):
-    def fn(t: pa.Table) -> pa.Table:
-        return t.filter(pc.equal(t["row_kind"], kind))
+def _rows_of(t: pa.Table, kind: str, schema: pa.Schema) -> pa.Table:
+    """The ``kind`` rows of a runner union table, projected to ``schema``."""
+    return t.filter(pc.equal(t["row_kind"], kind)) \
+        .select(schema.names).cast(schema)
 
-    return fn
+
+def _groups(refs: list, width: int) -> list:
+    """Deal ``refs`` round-robin into at most ``width`` groups."""
+    n = min(width, len(refs))
+    return [refs[g::n] for g in range(n)]
 
 
-def _project(schema: pa.Schema):
-    names = [f.name for f in schema]
+def _slices(blocks: list, k: int) -> list:
+    """Cut the frontier ``blocks`` ([(ref, rows)]) into ``k`` contiguous,
+    row-balanced pieces without fetching them; each piece is a list of
+    (ref, start, stop) spans. Every piece has rows when ``k`` is at most
+    the total row count."""
+    n = sum(rows for _, rows in blocks)
+    ends = [n * (i + 1) // k for i in range(k)]
+    pieces: List[list] = [[] for _ in range(k)]
+    pos = piece = 0
+    for ref, rows in blocks:
+        a = 0
+        while a < rows:
+            while ends[piece] <= pos + a:
+                piece += 1
+            b = min(rows, ends[piece] - pos)
+            pieces[piece].append((ref, a, b))
+            a = b
+        pos += rows
+    return pieces
 
-    def fn(t: pa.Table) -> pa.Table:
-        return t.select(names).cast(schema)
 
-    return fn
+def _run_wave_block(crawl_id: str, spec: list, wave: int, batch_size: int,
+                    spans: list, *tables):
+    """Runner task over one row-balanced piece of a wave's frontier: rows
+    ``spans[i][0]:spans[i][1]`` of each ``tables[i]``, stamped with
+    ``wave`` and fed to the worker's cached :class:`PageRunner`
+    ``batch_size`` rows at a time. The blocks arrive as top-level varargs,
+    so Ray resolves them in-plasma. ``spec`` is a one-item list holding
+    the ref of (runner class, kwargs, docs schema); it is fetched only when
+    this worker has no runner for the crawl. A worker keeps one crawl's
+    runner: an earlier crawl's runner (its client and state-host handles)
+    is dropped here.
+
+    The runner parks its expand/defer rows on the state hosts; the task
+    returns the docs table, the page-log table and their counters."""
+    cached = _RUNNER_CACHE.get(crawl_id)
+    if cached is None:
+        import ray
+
+        cls, kwargs, docs_schema = ray.get(spec[0])
+        _RUNNER_CACHE.clear()
+        cached = _RUNNER_CACHE[crawl_id] = (cls(**kwargs), docs_schema)
+    runner, docs_schema = cached
+    t = pa.concat_tables([tb.slice(a, b - a).select(_FRONTIER_COLS)
+                          for tb, (a, b) in zip(tables, spans)])
+    t = t.append_column("wave", pa.array([wave] * t.num_rows,
+                                         type=pa.int32()))
+    out = pa.concat_tables([runner(t.slice(i, batch_size))
+                            for i in range(0, t.num_rows, batch_size)])
+    pages = _rows_of(out, KIND_PAGE, PAGE_LOG_SCHEMA)
+    return _rows_of(out, KIND_EMIT, docs_schema), pages, _page_counts(pages)
+
+
+def _read_frontier_part(path: str):
+    """Raw task reading one checkpointed frontier part on resume; returns
+    the block, projected to the frontier schema (a part of an earlier
+    engine may carry the wider union schema), and its row count."""
+    t = pq.read_table(path, columns=CAND_SCHEMA.names).cast(CAND_SCHEMA)
+    return t, t.num_rows
 
 
 def _winner_filter(batch: pa.Table, state: StateHosts) -> pa.Table:
@@ -147,58 +212,21 @@ def _winner_filter(batch: pa.Table, state: StateHosts) -> pa.Table:
     return batch.filter(pa.array(keep))
 
 
-def _count_union_block(*tables) -> list:
-    """Raw-task lineage counting over a group of materialized wave union
-    blocks: filter to page rows, fold the narrow per-batch counters
-    (round-5: replaces the end-of-crawl Dataset execution that re-ran the
-    split + projection over every wave's blocks just to read counters).
-    Returns (k, v) pairs the driver sums."""
-    out: Dict[str, int] = {}
-    for t in tables:
-        p = t.filter(pc.equal(t["row_kind"], KIND_PAGE))
-        if p.num_rows == 0:
-            continue
-        ct = _page_count_batch(p)
-        for k, v in zip(ct["k"].to_pylist(), ct["v"].to_pylist()):
-            out[k] = out.get(k, 0) + v
-    return list(out.items())
-
-
 def _write_part(path: str, *tables) -> None:
-    """Write ``tables`` as one parquet part file; no rows write nothing.
-    Also the raw task that writes a group of next-frontier blocks
-    (election winners or quota deferrals)."""
+    """Raw task writing ``tables`` as one parquet part file (a group of a
+    wave's docs, page-log or next-frontier blocks); no rows write
+    nothing."""
     t = pa.concat_tables(tables) if len(tables) > 1 else tables[0]
     if t.num_rows:
         os.makedirs(os.path.dirname(path), exist_ok=True)
         pq.write_table(t, path)
 
 
-def _write_wave_part(docs_schema: pa.Schema, docs_path: str,
-                     pages_path: str, *tables) -> list:
-    """Raw-task checkpoint write over a group of a wave's materialized
-    union blocks: split by row kind, project to the docs and page-log
-    schemas, write one parquet part of each, and return the group's
-    (k, v) counters as :func:`_count_union_block` does. The part names
-    are fixed per (wave, group), so a retried task overwrites its own
-    files instead of adding a second copy."""
-    docs = pa.concat_tables([_project(docs_schema)(_split(KIND_EMIT)(t))
-                             for t in tables])
-    pages = pa.concat_tables([_project(PAGE_LOG_SCHEMA)(_split(KIND_PAGE)(t))
-                              for t in tables])
-    _write_part(docs_path, docs)
-    _write_part(pages_path, pages)
-    if not pages.num_rows:
-        return []
-    ct = _page_count_batch(pages)
-    return list(zip(ct["k"].to_pylist(), ct["v"].to_pylist()))
-
-
 def _offer_block(state: StateHosts, *tables) -> int:
-    """Raw-task offer pass over a group of materialized seed blocks
-    (phase 1 of the dedup protocol for rows that never pass through a
-    runner). Offers are idempotent per (hash, order) — min is
-    associative — so a task retry is harmless. Emits only a count."""
+    """Raw-task offer pass over a group of seed blocks (phase 1 of the
+    dedup protocol for rows that never pass through a runner). Offers are
+    idempotent per (hash, order) — min is associative — so a task retry
+    is harmless. Emits only a count."""
     t = pa.concat_tables(tables) if len(tables) > 1 else tables[0]
     fresh = t.filter(pc.invert(
         t["pre_admitted"].combine_chunks().fill_null(False)))
@@ -215,12 +243,11 @@ def _offer_block(state: StateHosts, *tables) -> int:
 
 
 def _elect_block(state: StateHosts, *tables):
-    """Raw-task winner election over a GROUP of parked candidate blocks
-    (round-5: replaces the per-wave Dataset execution — the election is
-    embarrassingly parallel over already-materialized blocks, so a bounded
-    set of plain tasks skips the streaming-executor spin-up floor each
-    wave; grouping ~len/64 blocks per task batches the seen-filter query
-    RPCs instead of paying one tiny RPC round per runner-task block).
+    """Raw-task winner election over a GROUP of parked candidate blocks:
+    the election is embarrassingly parallel over blocks already in the
+    object store, so a bounded set of plain tasks does it; grouping
+    ~len/width blocks per task batches the seen-filter query RPCs instead
+    of paying one tiny RPC round per runner batch.
     The blocks arrive as top-level varargs so Ray resolves the refs
     in-plasma (zero-copy local fetch). Winners return as the task's first
     output (second is the row count, so the driver learns sizes without
@@ -230,6 +257,17 @@ def _elect_block(state: StateHosts, *tables):
     winners = _winner_filter(
         pa.concat_tables(tables) if len(tables) > 1 else tables[0], state)
     return winners.combine_chunks(), winners.num_rows
+
+
+def _elect(elect_task, state: StateHosts, refs: list, width: int) -> list:
+    """Winner election over the candidate blocks ``refs`` with at most
+    ``width`` grouped tasks (see :func:`_elect_block`); returns the
+    non-empty winner blocks as [(ref, rows)]."""
+    import ray
+
+    pairs = [elect_task.remote(state, *grp) for grp in _groups(refs, width)]
+    counts = ray.get([c for _, c in pairs])
+    return [(t, c) for (t, _), c in zip(pairs, counts) if c]
 
 
 def _priority_offer_block(state: StateHosts, *tables) -> int:
@@ -277,44 +315,36 @@ def _priority_admit_block(state: StateHosts, *tables):
             (a.num_rows, d.num_rows))
 
 
-def _priority_select(frontier_ds, k: int, state: StateHosts, width: int):
+def _priority_select(blocks: list, k: int, state: StateHosts, width: int):
     """Deterministic per-host priority queue under a wave quota: keep the
     top-k fetchable rows per host by (priority, order_bytes); the rest
     defer to the next wave. Null-source rows are never deferred.
 
     The election runs in the sharded :class:`PriorityShard` instances on
     the state hosts via the same offer / seal / query shape as the
-    URL-seen filter (round-2 verdict fix #4). Round-5: both passes are cluster-width raw-task
-    fan-outs over the frontier's materialized blocks (zero Dataset
-    executions; same rationale as :func:`_elect_block`).
+    URL-seen filter (round-2 verdict fix #4). Both passes are
+    cluster-width raw-task fan-outs over the frontier ``blocks``
+    ([(ref, rows)]; same rationale as :func:`_elect_block`).
 
-    Returns ``(admitted_ds, n_deferred, defer_refs, defer_rows)`` —
-    the deferred blocks are driver-owned task outputs the caller merges
-    into the next wave's frontier."""
+    Returns ``(admitted, n_deferred, deferred)``: the admitted and the
+    deferred rows as [(ref, rows)] of driver-owned task outputs; the
+    caller merges the deferred blocks into the next wave's frontier."""
     import ray
-    import ray.data
 
-    refs = frontier_ds.materialize().to_arrow_refs()
-    if not refs:
-        return frontier_ds, 0, [], 0
+    groups = _groups([r for r, _ in blocks], width)
     offer_task = ray.remote(num_cpus=1)(_priority_offer_block)
-    n_groups = min(width, len(refs))
-    groups = [refs[g::n_groups] for g in range(n_groups)]
     state.each((PRIO,), "begin_wave")
     ray.get([offer_task.remote(state, *grp) for grp in groups])
     n_deferred = sum(state.each((PRIO,), "seal", k)[PRIO].values())
     if n_deferred == 0:
-        return frontier_ds, 0, [], 0
+        return blocks, 0, []
 
     admit_task = ray.remote(num_cpus=1, num_returns=3)(_priority_admit_block)
     trips = [admit_task.remote(state, *grp) for grp in groups]
     counts = ray.get([c for _, _, c in trips])
-    adm_refs = [a for (a, _, _), (na, _) in zip(trips, counts) if na]
-    defer_refs = [d for (_, d, _), (_, nd) in zip(trips, counts) if nd]
-    defer_rows = sum(nd for _, nd in counts)
-    admitted = ray.data.from_arrow_refs(adm_refs) if adm_refs \
-        else ray.data.from_arrow(UNION_SCHEMA.empty_table())
-    return admitted, n_deferred, defer_refs, defer_rows
+    admitted = [(a, na) for (a, _, _), (na, _) in zip(trips, counts) if na]
+    deferred = [(d, nd) for (_, d, _), (_, nd) in zip(trips, counts) if nd]
+    return admitted, n_deferred, deferred
 
 
 @dataclass
@@ -326,15 +356,14 @@ class CrawlConfig:
     per_host_wave_quota: Optional[int] = None
     robots: Optional[dict] = None             # host -> {disallow, crawl_delay_ms}
     max_waves: Optional[int] = None
-    # rows per runner batch. Also the block-size knob for every downstream
-    # per-wave pass (narrow/split/candidate/count executions inherit the
-    # runner's block count), so it trades Ray task-launch overhead against
-    # per-batch memory: 256-row batches meant ~1,100 tasks per big wave x 3
-    # executions and measured 3x slower than 1024 at 32 cpus on the
-    # 288k-page bench web (34 s vs 98-110 s back-to-back). Bodies never
-    # outlive a batch, so 1024 x ~2 KB pages stays far under worker heap.
+    # rows per PageRunner call. It also sets a wave's runner task count,
+    # max(min_parallelism, ceil(frontier rows / batch_size)), so it trades
+    # Ray task-launch overhead against per-task memory: 256-row batches
+    # measured 3x slower than 1024 at 32 cpus on the 288k-page bench web.
+    # Bodies never outlive a call, so 1024 x ~2 KB pages stays far under
+    # worker heap.
     batch_size: int = 1024
-    min_parallelism: int = 8                  # blocks per wave lower bound
+    min_parallelism: int = 8                  # runner tasks per wave, at least
     scout: bool = False
     expand: bool = True
     error_policy: str = "record"              # "record" | "raise"
@@ -345,12 +374,22 @@ class CrawlConfig:
     cache_dir: Optional[str] = None           # fastmode response cache
 
 
+# per-wave entries of CrawlResult.wave_stats: row counts of the wave, then
+# seconds spent in the quota select, the runner tasks, the commit and
+# winner election, and the checkpoint
+WAVE_COUNTS = ("rows_in", "deferred", "pages", "emitted", "next_rows")
+WAVE_TIMES = ("select_s", "run_s", "elect_s", "ckpt_s")
+
+
 @dataclass
 class CrawlResult:
     docs: "object"                 # ray.data.Dataset (docs schema), sorted-by-key on demand
     page_log: "object"             # ray.data.Dataset (page log schema)
     counters: Dict[str, int] = field(default_factory=dict)
     waves: int = 0
+    # one dict per wave (WAVE_COUNTS + WAVE_TIMES keys), resumed waves
+    # included
+    wave_stats: List[dict] = field(default_factory=list)
 
     def docs_sorted(self):
         """Docs in reference DFS emission order (sort by order_bytes)."""
@@ -430,7 +469,7 @@ def resolve_instance_dependencies(registry: Dict[str, type],
 
 def seeds_to_table(seeds: Sequence[Page]) -> pa.Table:
     rows = [frontier_row_from_page(p, (i,), 0) for i, p in enumerate(seeds)]
-    return rows_to_table(rows, UNION_SCHEMA)
+    return rows_to_table(rows, CAND_SCHEMA)
 
 
 def _write_json_atomic(path: str, obj: dict) -> None:
@@ -471,13 +510,12 @@ def _sweep(ckpt: str, next_wave: int) -> None:
                 shutil.rmtree(os.path.join(root, name))
 
 
-def _start_state_hosts(cfg: CrawlConfig, ncpu_total: int) -> StateHosts:
-    """Start the crawl's state hosts and wait until each is alive (a
-    runner's ``ray.put(_owner=host)`` fails with "actor not alive" if it
-    races the async actor launch). The shard classes are read from the
-    module globals now, at crawl time, and shipped to the hosts."""
-    import ray
 
+
+def _lease_state_hosts(cfg: CrawlConfig, ncpu_total: int) -> StateHosts:
+    """Lease the crawl's state hosts and give them its shards. The shard
+    classes are read from the module globals now, at crawl time, and
+    shipped to the hosts."""
     specs: dict = {}
     if cfg.dedup:
         specs[FILTER] = (SeenFilterShard, cfg.n_filter_shards,
@@ -491,47 +529,45 @@ def _start_state_hosts(cfg: CrawlConfig, ncpu_total: int) -> StateHosts:
         specs[PRIO] = (priority.PriorityShard, cfg.n_filter_shards, {})
     n_hosts = min(max(cfg.n_filter_shards, cfg.n_gates, 1), ncpu_total)
     t = time.perf_counter()
-    Host = ray.remote(num_cpus=0)(StateHost)
-    handles = [Host.remote(i, n_hosts, specs) for i in range(n_hosts)]
-    ray.get([h.__ray_ready__.remote() for h in handles])
+    state = lease(n_hosts, specs)
     log.debug("%d state host(s) ready in %.2fs", n_hosts,
               time.perf_counter() - t)
-    return StateHosts(handles, {kind: n for kind, (_, n, _) in specs.items()})
+    return state
 
 
 def crawl(seeds: Sequence[Page], registry: Dict[str, type],
           resolver_factory: Callable,
           config: Optional[CrawlConfig] = None) -> CrawlResult:
     """Run a full crawl. Ray must already be initialized by the caller."""
-    import ray
-
     cfg = config or CrawlConfig()
     ncpu_total = cluster_cpus()
-    state = _start_state_hosts(cfg, ncpu_total)
+    state = _lease_state_hosts(cfg, ncpu_total)
     try:
         return _crawl(seeds, registry, resolver_factory, cfg, state,
                       ncpu_total)
     finally:
-        # the result holds no host-owned object: stop the hosts now
-        # rather than when the last cached runner drops its handle
-        for h in state.handles:
-            ray.kill(h)
+        # the result holds no host-owned object: the hosts go back, empty,
+        # to the session's idle list for the next crawl
+        release(state, ncpu_total)
 
 
 def _crawl(seeds: Sequence[Page], registry: Dict[str, type],
            resolver_factory: Callable, cfg: CrawlConfig, state: StateHosts,
            ncpu_total: int) -> CrawlResult:
     import ray
-    import ray.data
+    import ray.data as rd
 
     crawl_id = uuid.uuid4().hex
+    # lineage counters are summed on the driver from the counts each
+    # runner task returns — runner batches never block on a shared stats
+    # actor (round-1 fix #6); resume-safe via the manifest counters
+    stats: Counter = Counter()
+    wave_stats: List[dict] = []
 
     # ---- resume ----------------------------------------------------------
     ckpt = cfg.checkpoint_dir
     start_wave = 0
-    counters: Dict[str, int] = {}
-    frontier_ds = None
-    n: Optional[int] = None
+    frontier: Optional[list] = None      # [(block ref, rows)]
     if ckpt:
         os.makedirs(ckpt, exist_ok=True)
         manifest_path = os.path.join(ckpt, "manifest.json")
@@ -544,16 +580,22 @@ def _crawl(seeds: Sequence[Page], registry: Dict[str, type],
                     f"(version {manifest.get('layout')}, this engine reads "
                     f"{CHECKPOINT_LAYOUT}); remove it to start over")
             start_wave = manifest["next_wave"]
-            counters = {k: int(v) for k, v in manifest["counters"].items()}
+            stats.update({k: int(v) for k, v in manifest["counters"].items()})
+            wave_stats = manifest.get("wave_stats", [])
             state.restore(os.path.join(ckpt, manifest["filter"]),
                           {int(g): snap
                            for g, snap in manifest["gates"].items()})
-            n = manifest["frontier_rows"]
             # no pending frontier means the crawl had finished: resume
             # must NOT re-seed
-            frontier_ds = ray.data.read_parquet(
-                _wave_dir(ckpt, "frontier", start_wave)) if n \
-                else ray.data.from_arrow(UNION_SCHEMA.empty_table())
+            frontier = []
+            if manifest["frontier_rows"]:
+                fdir = _wave_dir(ckpt, "frontier", start_wave)
+                read = ray.remote(num_cpus=1, num_returns=2)(
+                    _read_frontier_part)
+                pairs = [read.remote(os.path.join(fdir, name))
+                         for name in sorted(os.listdir(fdir))]
+                counts = ray.get([c for _, c in pairs])
+                frontier = [(t, c) for (t, _), c in zip(pairs, counts) if c]
         # a crash between a wave's writes and its manifest leaves files
         # that no manifest names; the re-run wave writes the only copy
         _sweep(ckpt, start_wave)
@@ -562,14 +604,6 @@ def _crawl(seeds: Sequence[Page], registry: Dict[str, type],
     dep_results = resolve_instance_dependencies(registry, resolver_factory,
                                                 cache_dir=cfg.cache_dir)
     dep_ref = ray.put(dep_results) if dep_results else None
-
-    # lineage counters accumulate driver-side from a narrow per-wave counting
-    # pass over the materialized wave output (see _wave_counter_delta) —
-    # runner batches never block on a shared stats actor (round-1 fix #6);
-    # resume-safe via the manifest counters
-    from .metrics import CrawlStatsCollector
-
-    stats = CrawlStatsCollector(initial=counters)
 
     # typed-record struct column (round-4 verdict fix #4): docs schema
     # extends per crawl when any registered class declares record_fields
@@ -588,101 +622,66 @@ def _crawl(seeds: Sequence[Page], registry: Dict[str, type],
         simulate_latency=cfg.simulate_latency,
         cache_dir=cfg.cache_dir,
     )
+    # the runner class is read now, at crawl time; nested in a list, the
+    # ref reaches a runner task unresolved (see _run_wave_block)
+    runner_spec = [ray.put((PageRunner, runner_kwargs, docs_schema))]
 
-    def task_runner(batch: pa.Table) -> pa.Table:
-        r = _RUNNER_CACHE.get(crawl_id)
-        if r is None:
-            # a worker keeps one crawl's runner: an earlier crawl's runner
-            # (its client and state-host handles) is dropped here
-            _RUNNER_CACHE.clear()
-            r = PageRunner(**runner_kwargs)
-            _RUNNER_CACHE[crawl_id] = r
-        return r(batch)
-
+    run_task = ray.remote(num_cpus=cfg.runner_num_cpus, num_returns=3)(
+        _run_wave_block)
     elect_task = ray.remote(num_cpus=1, num_returns=2)(_elect_block)
+    write_task = ray.remote(num_cpus=1)(_write_part)
     # raw-task fan-out widths scale with the cluster, not a constant:
     # ~2 election tasks per core keeps every node busy while batching
-    # the seen-filter RPCs; the counter folds and checkpoint writes take
-    # ~1 task per 2 cores
+    # the seen-filter RPCs; the checkpoint writes take ~1 task per 2 cores
     elect_width = max(2 * ncpu_total, 8)
-    count_width = max(ncpu_total // 2, 8)
+    write_width = max(ncpu_total // 2, 8)
 
     # ---- seeding ---------------------------------------------------------
-    if frontier_ds is None:
+    if frontier is None:
         seed_t = seeds_to_table(list(seeds))
-        frontier_ds = ray.data.from_arrow(seed_t)
-        n = seed_t.num_rows
-        if state.n(FILTER):
+        frontier = [(ray.put(seed_t), seed_t.num_rows)] \
+            if seed_t.num_rows else []
+        if state.n(FILTER) and frontier:
             # seeds never pass through a runner, so they take the
-            # standalone offer pass; wave 0's runner query-filters them.
-            # Raw tasks over the materialized seed blocks (round-5): the
-            # offer, commit and query phases cost three actor-RPC rounds
-            # instead of three Dataset executions.
+            # standalone offer pass, then the commit and winner election
+            # that a wave's parked candidates take
             state.each((FILTER,), "begin_wave")
-            seed_refs = frontier_ds.materialize().to_arrow_refs()
-            if seed_refs:
-                offer_task = ray.remote(num_cpus=1)(_offer_block)
-                n_groups = min(elect_width, len(seed_refs))
-                groups = [seed_refs[g::n_groups] for g in range(n_groups)]
-                ray.get([offer_task.remote(state, *grp) for grp in groups])
-                state.each((FILTER,), "commit")
-                pairs = [elect_task.remote(state, *grp)
-                         for grp in groups]
-                counts = ray.get([c for _, c in pairs])
-                win = [t for (t, _), c in zip(pairs, counts) if c]
-                n = sum(counts)
-                frontier_ds = ray.data.from_arrow_refs(win) if win \
-                    else ray.data.from_arrow(UNION_SCHEMA.empty_table())
+            ray.get(ray.remote(num_cpus=1)(_offer_block).remote(
+                state, frontier[0][0]))
+            state.each((FILTER,), "commit")
+            frontier = _elect(elect_task, state, [frontier[0][0]],
+                              elect_width)
 
-    docs_parts: List = []
-    page_parts: List = []
+    docs_refs: List = []
+    page_refs: List = []
     wave = start_wave
-    count_task = ray.remote(num_cpus=1)(_count_union_block)
-    write_task = ray.remote(num_cpus=1)(_write_wave_part)
-    frontier_task = ray.remote(num_cpus=1)(_write_part)
-    count_futs: List = []
     t0 = time.time()
 
-    def _drain_frontier(refs=(), n_rows=0):
-        """Rebuild the next wave's frontier from the wave's driver-owned
-        election/deferral output blocks; returns (dataset, row_count)
-        without a dataset execution."""
-        refs = list(refs)
-        if not refs:
-            return ray.data.from_arrow(UNION_SCHEMA.empty_table()), 0
-        return ray.data.from_arrow_refs(refs), n_rows
-
-    def _checkpoint(wave, blk_refs, win_refs, defer_refs, n_next):
+    def _checkpoint(wave, docs, pages, nxt_blocks, ws):
         """Commit wave ``wave``: one raw-task round writes its docs and
         pages parts and the next frontier's parts while every state host
         writes its own filter snapshots; then the manifest, the only
-        commit point, names them and older snapshots are deleted."""
+        commit point, names them (with the wave's stats ``ws``, timed up
+        to here) and older snapshots are deleted."""
+        t = time.perf_counter()
         nxt = wave + 1
-        ddir = _wave_dir(ckpt, "docs", wave)
-        pdir = _wave_dir(ckpt, "pages", wave)
-        fdir = _wave_dir(ckpt, "frontier", nxt)
-        ngc = min(count_width, len(blk_refs))
-        writes = [write_task.remote(docs_schema, _part_path(ddir, g),
-                                    _part_path(pdir, g), *blk_refs[g::ngc])
-                  for g in range(ngc)]
-        # winners and deferrals group apart: each kind shares one schema
-        groups = []
-        for refs in (win_refs, defer_refs):
-            ng = min(count_width, len(refs))
-            groups += [refs[g::ng] for g in range(ng)]
-        fwrites = [frontier_task.remote(_part_path(fdir, i), *grp)
-                   for i, grp in enumerate(groups)]
+        writes = [write_task.remote(_part_path(_wave_dir(ckpt, kind, w), g),
+                                    *grp)
+                  for kind, w, refs in (
+                      ("docs", wave, docs), ("pages", wave, pages),
+                      ("frontier", nxt, [r for r, _ in nxt_blocks]))
+                  for g, grp in enumerate(_groups(refs, write_width))]
         filter_dir = os.path.relpath(_wave_dir(ckpt, "filter", nxt), ckpt)
         gates = state.checkpoint(os.path.join(ckpt, filter_dir))
-        for pairs in ray.get(writes):
-            stats.add({k: int(v) for k, v in pairs})
-        ray.get(fwrites)
+        ray.get(writes)
+        ws["ckpt_s"] = round(time.perf_counter() - t, 4)
         _write_json_atomic(os.path.join(ckpt, "manifest.json"), {
             "layout": CHECKPOINT_LAYOUT,
             "next_wave": nxt,
-            "frontier_rows": n_next,
+            "frontier_rows": sum(c for _, c in nxt_blocks),
             "filter": filter_dir,
-            "counters": stats.get(),
+            "counters": dict(stats),
+            "wave_stats": wave_stats,
             "gates": {str(g): snap for g, snap in gates.items()},
             "elapsed_sec": time.time() - t0,
             "crawl_id": crawl_id,
@@ -690,119 +689,77 @@ def _crawl(seeds: Sequence[Page], registry: Dict[str, type],
         _sweep(ckpt, nxt)
 
     while True:
-        tw = time.time()
+        n = sum(c for _, c in frontier)
         if n == 0 or (cfg.max_waves is not None and wave >= cfg.max_waves):
             break
+        ws = dict.fromkeys(WAVE_COUNTS, 0)
+        ws.update(dict.fromkeys(WAVE_TIMES, 0.0))
+        ws["rows_in"] = n
+        wave_stats.append(ws)
+        tw = time.perf_counter()
 
         state.each((FILTER, GATE), "begin_wave")
 
-        n_deferred = 0
-        defer_refs: List = []
-        defer_rows = 0
+        deferred: List = []
         if cfg.per_host_wave_quota:
-            frontier_sel, n_deferred, defer_refs, defer_rows = \
-                _priority_select(frontier_ds, cfg.per_host_wave_quota,
-                                 state, elect_width)
-            if n_deferred:
-                stats.add({"priority_deferred": n_deferred})
-            n -= n_deferred
-            if n <= 0:
-                frontier_ds, n = _drain_frontier(defer_refs, defer_rows)
-                wave += 1
-                continue
+            frontier, ws["deferred"], deferred = _priority_select(
+                frontier, cfg.per_host_wave_quota, state, elect_width)
+            if ws["deferred"]:
+                stats["priority_deferred"] += ws["deferred"]
+        t_sel = time.perf_counter()
+        ws["select_s"] = round(t_sel - tw, 4)
+        n = sum(c for _, c in frontier)
+
+        # runner tasks: row-balanced pieces of the frontier's blocks
+        outs: List = []
+        if n:
+            k = min(n, max(cfg.min_parallelism,
+                           -(-n // max(1, cfg.batch_size))))
+            outs = [run_task.remote(crawl_id, runner_spec, wave,
+                                    cfg.batch_size,
+                                    [(a, b) for _, a, b in piece],
+                                    *[r for r, _, _ in piece])
+                    for piece in _slices(frontier, k)]
+        counts = ray.get([c for _, _, c in outs])
+        for c in counts:
+            stats.update(c)
+            ws["pages"] += c["pages"]
+            ws["emitted"] += c["emitted"]
+        t_run = time.perf_counter()
+        ws["run_s"] = round(t_run - t_sel, 4)
+
+        # Election fuse: candidates never ride the runner's returns — each
+        # runner batch parks its expand/defer rows as narrow CAND_SCHEMA
+        # blocks on a state host (keyed, retry-idempotent). After the
+        # offers commit, the winner election runs over the parked
+        # candidate blocks alone, so it is proportional to the candidate
+        # count, not the wave's document mass. The election and
+        # quota-admit tasks return the winner / deferred blocks as
+        # driver-owned refs with their row counts: the next frontier
+        # needs no fetch.
+        frontier = deferred
+        if n:
+            state.each((FILTER,), "commit")
+            cand_refs, _ = state.drain()
+            if cand_refs:
+                frontier = _elect(elect_task, state, cand_refs,
+                                  elect_width) + deferred
+        ws["next_rows"] = sum(c for _, c in frontier)
+        ws["elect_s"] = round(time.perf_counter() - t_run, 4)
+
+        docs = [d for (d, _, _), c in zip(outs, counts) if c["emitted"]]
+        pages = [p for (_, p, _), c in zip(outs, counts) if c["pages"]]
+        if ckpt and n:
+            _checkpoint(wave, docs, pages, frontier, ws)
         else:
-            frontier_sel = frontier_ds
-
-        nblocks = max(cfg.min_parallelism, n // max(1, cfg.batch_size))
-        wave_in = frontier_sel.repartition(min(nblocks, max(1, n)))
-        _wave_no = wave
-
-        def _stamp_wave(t: pa.Table, _w=wave) -> pa.Table:
-            col = pa.array([_w] * t.num_rows, type=pa.int32())
-            if "wave" in t.schema.names:
-                return t.set_column(t.schema.get_field_index("wave"), "wave", col)
-            return t.append_column("wave", col)
-
-        wave_in = wave_in.map_batches(_stamp_wave, batch_format="pyarrow")
-
-        out = wave_in.map_batches(
-            task_runner, batch_format="pyarrow", batch_size=cfg.batch_size,
-            num_cpus=cfg.runner_num_cpus).materialize()
-        t_run = time.time()
-
-        # Round-5 election fuse (verdict #8): candidates never ride the
-        # union output at all — each runner task parks its expand/defer
-        # rows as narrow CAND_SCHEMA blocks on a state host (keyed,
-        # retry-idempotent), so the wave's union blocks hold ONLY
-        # emit/page rows and materialize exactly once. After the offers
-        # commit, the winner election runs over the parked candidate
-        # blocks alone as a bounded set of raw tasks returning the
-        # winner blocks (see _elect_block). This removes the round-3/4
-        # full re-scan + re-materialization of the wave's wide blocks:
-        # per-wave object-store traffic for emit/page payloads is
-        # halved, and the election pass is proportional to the
-        # candidate count, not the wave's document mass.
-        state.each((FILTER,), "commit")
-
-        cand_refs, _n_cand = state.drain()
-        win_refs: List = []
-        win_rows = 0
-        if cand_refs:
-            # round-5: raw tasks instead of a Dataset execution — at most
-            # elect_width grouped tasks per wave (see _elect_block). num_cpus=1
-            # caps concurrency at the cpu count so the election reuses
-            # the runner-warmed worker processes instead of forking a
-            # second pool mid-wave. The ray.get on the count outputs is
-            # the wave's election barrier; the winner tables stay in the
-            # object store as driver-owned refs.
-            n_groups = min(elect_width, len(cand_refs))
-            pairs = [
-                elect_task.remote(state, *cand_refs[g::n_groups])
-                for g in range(n_groups)
-            ]
-            counts = ray.get([c for _, c in pairs])
-            win_refs = [t for (t, _), c in zip(pairs, counts) if c]
-            win_rows = sum(counts)
-
-        t_cands = time.time()
-        t_ckpt = 0.0
-        blk_refs = out.to_arrow_refs()
-        if ckpt:
-            _checkpoint(wave, blk_refs, win_refs, defer_refs,
-                        win_rows + defer_rows)
-            t_ckpt = time.time() - t_cands
-        else:
-            # counters fold from the wave's materialized union blocks via
-            # raw tasks submitted now, gathered once at crawl end — they
-            # fill scheduler gaps during later waves and the end-of-crawl
-            # counting execution is gone (round-5)
-            if blk_refs:
-                ngc = min(count_width, len(blk_refs))
-                count_futs.extend(count_task.remote(*blk_refs[g::ngc])
-                                  for g in range(ngc))
-            docs_parts.append(
-                out.map_batches(_split(KIND_EMIT), batch_format="pyarrow")
-                   .map_batches(_project(docs_schema), batch_format="pyarrow"))
-            page_parts.append(
-                out.map_batches(_split(KIND_PAGE), batch_format="pyarrow")
-                   .map_batches(_project(PAGE_LOG_SCHEMA),
-                                batch_format="pyarrow"))
-
-        # next frontier: the election and quota-admit tasks returned the
-        # winner / deferred blocks as driver-owned refs — merge both, no
-        # extra execution, counts arrive without a fetch
-        out = blk_refs = None  # release the union blocks
-        wave_n = n
-        frontier_ds, n = _drain_frontier(win_refs + defer_refs,
-                                         win_rows + defer_rows)
-        log.debug("wave %d: n=%d runner=%.2fs cands=%.2fs ckpt=%.2fs "
-                  "next=%d", wave, wave_n, t_run - tw, t_cands - t_run,
-                  t_ckpt, n)
+            docs_refs += docs
+            page_refs += pages
+        log.debug("wave %d: %s", wave, " ".join(
+            f"{k}={v:.2f}" if isinstance(v, float) else f"{k}={v}"
+            for k, v in ws.items()))
         wave += 1
 
     # ---- assemble result -------------------------------------------------
-    import ray.data as rd
-
     if ckpt:
         docs_dir = os.path.join(ckpt, "docs")
         pages_dir = os.path.join(ckpt, "pages")
@@ -811,19 +768,12 @@ def _crawl(seeds: Sequence[Page], registry: Dict[str, type],
         page_log = rd.read_parquet(pages_dir) if os.path.isdir(pages_dir) and _has_files(pages_dir) \
             else rd.from_arrow(PAGE_LOG_SCHEMA.empty_table())
     else:
-        docs = _union_parts(docs_parts, docs_schema)
-        page_log = _union_parts(page_parts, PAGE_LOG_SCHEMA)
-        # ONE counting pass over the whole (narrow, materialized) page log
-        # — no per-wave executions spent on counters, and the emitted
-        # total comes from the per-page n_emitted column in the same pass
-        # (a second docs-side count execution would re-run the split +
-        # projection over every wave's blocks just to read a length)
-        t_cnt = time.time()
-        for pairs in ray.get(count_futs):
-            stats.add({k: int(v) for k, v in pairs})
-        log.debug("counter gather %.2fs", time.time() - t_cnt)
+        docs = rd.from_arrow_refs(docs_refs) if docs_refs \
+            else rd.from_arrow(docs_schema.empty_table())
+        page_log = rd.from_arrow_refs(page_refs) if page_refs \
+            else rd.from_arrow(PAGE_LOG_SCHEMA.empty_table())
 
-    counters = stats.get()
+    counters = dict(stats)
     counters.setdefault("pages", 0)
     counters.setdefault("emitted", 0)
     status_counts = {k.split(":", 1)[1]: v for k, v in counters.items()
@@ -841,7 +791,8 @@ def _crawl(seeds: Sequence[Page], registry: Dict[str, type],
         counters["gate_deferred"] = counters.get("gate_deferred", 0) + st["deferred"]
     counters["elapsed_sec"] = round(time.time() - t0, 3)
 
-    return CrawlResult(docs=docs, page_log=page_log, counters=counters, waves=wave)
+    return CrawlResult(docs=docs, page_log=page_log, counters=counters,
+                       waves=wave, wave_stats=wave_stats)
 
 
 def _has_files(d: str) -> bool:
@@ -849,14 +800,3 @@ def _has_files(d: str) -> bool:
         if files:
             return True
     return False
-
-
-def _union_parts(parts: List, schema: pa.Schema):
-    import ray.data as rd
-
-    if not parts:
-        return rd.from_arrow(schema.empty_table())
-    ds = parts[0]
-    for p in parts[1:]:
-        ds = ds.union(p)  # lazy; no per-part count() executions
-    return ds

@@ -1,12 +1,13 @@
 """PageRunner — the fused fetch + parse + extract stage.
 
-One callable class, invoked per Arrow batch of frontier rows by the
-driver's ``map_batches`` task: constructed once per worker process and
-crawl (client + registry + broadcast dependency results) and cached there.
-Fusing fetch/parse/extract in one stage mirrors the reference's
-``postprocess_response`` -> ``process_page`` fusion (pages.py:194-217) and
-keeps page bodies out of the object store — only compact emit/expand rows
-flow between stages.
+One callable class, invoked per ``batch_size`` slice of frontier rows by
+the driver's runner tasks (``driver._run_wave_block``): constructed once
+per worker process and crawl (client + registry + broadcast dependency
+results) and cached there. Fusing fetch/parse/extract in one call mirrors
+the reference's ``postprocess_response`` -> ``process_page`` fusion
+(pages.py:194-217) and keeps page bodies out of the object store — only
+compact emit/page rows return from the task, and expand/defer rows park
+on the state hosts.
 
 Politeness admission is batched per runner batch: rows group by their
 HostGate shard (``host_hash % n_gates``) and each state host holding some
@@ -206,8 +207,8 @@ class PageRunner:
             self.client = CachingClient(self.client, cache_dir)
         # the crawl's gates, URL-seen shards and candidate sink, reached
         # through their state hosts. The dedup offer phase is fused into
-        # the runner batch: the wave's materialize barrier guarantees all
-        # offers land before commit
+        # the runner batch: the driver commits only after every runner
+        # task of the wave has returned, so all offers land before it
         self.state = state
         self.n_gates = state.n(GATE) if state is not None else 0
         self.n_filter = state.n(FILTER) if state is not None else 0
@@ -424,7 +425,7 @@ class PageRunner:
         """Wave-N+1 side of the dedup protocol: drop rows that lost the
         min-order winner election committed at the end of wave N. Runs as
         the first step of the runner batch, so the whole query pass costs
-        no extra Dataset execution."""
+        no extra task round."""
         if not self.n_filter:
             return rows
         by_shard: typing.Dict[int, list] = {}
@@ -472,8 +473,8 @@ class PageRunner:
             # emit/page payload
             self.state.park(b.fr, rows_to_table(b.fr, CAND_SCHEMA))
             b.fr = []
-        # lineage counters are derived by the driver from the materialized
-        # wave output (a cheap narrow pass) — no per-batch RPC to a shared
+        # lineage counters are counted by the runner task over these page
+        # rows and summed by the driver — no per-batch RPC to a shared
         # stats actor, which would serialize every runner on one mailbox at
         # cluster scale (round-1 verdict fix #6)
         return b.table()

@@ -2,10 +2,12 @@
 
 The docs shape is authoritative per BASELINE.json input_hint:
 ``doc_id: string, spans: list<struct<kind,text,media_ref,offset:int32>>``
-plus provenance columns. The PageRunner stage emits one *union* batch (all
-row kinds, nullable superset of columns) that downstream stages split by
-``row_kind`` — this keeps fetch+parse+extract fused in a single map_batches
-with zero-copy Arrow blocks between stages.
+plus provenance columns. A PageRunner call returns one *union* table (all
+row kinds, nullable superset of columns) that its runner task splits by
+``row_kind`` into the docs and page-log tables — this keeps
+fetch+parse+extract fused in a single call. Frontier blocks (seeds,
+election winners, quota deferrals and checkpointed frontier parts) all
+have ``CAND_SCHEMA``.
 """
 
 from __future__ import annotations
@@ -83,9 +85,9 @@ for name, typ in [("row_kind", pa.string())] + FRONTIER_FIELDS + DOCS_FIELDS + P
 UNION_SCHEMA = pa.schema(list(_union_fields.items()))
 UNION_COLUMNS = list(_union_fields.keys())
 
-# candidate rows (expand/defer) parked by the runner for the post-commit
-# winner election — frontier payload only, never the emit/page columns
-# (round-5: the election no longer re-scans the wave's full union blocks)
+# frontier rows: seeds, and the candidate rows (expand/defer) parked by
+# the runner for the post-commit winner election — frontier payload only,
+# never the emit/page columns
 CAND_SCHEMA = pa.schema([("row_kind", pa.string())] + FRONTIER_FIELDS
                         + [("wave", pa.int32())])
 

@@ -1,6 +1,8 @@
-"""State-host placement: a crawl's logical filter, gate and priority shards
-live in ``min(max(n_filter_shards, n_gates, 1), cluster CPUs)`` state
-processes, with routing and results unchanged by the placement; gate state
+"""State-host placement and lifecycle: a crawl's logical filter, gate and
+priority shards live in ``min(max(n_filter_shards, n_gates, 1), cluster
+CPUs)`` state processes, with routing and results unchanged by the
+placement; the processes stay warm and empty between crawls, a dead or
+abandoned one does not change the next crawl's results; gate state
 survives a checkpoint resume."""
 
 import sys
@@ -8,8 +10,10 @@ import time
 
 import pytest
 
+import spatula_ray.engine.driver as drv
 from spatula_ray.engine import CrawlConfig, crawl
 from spatula_ray.engine.driver import build_registry
+from spatula_ray.engine.statehost import idle_hosts, release
 from spatula_ray.web import (
     DocDetail,
     DocList,
@@ -37,24 +41,43 @@ def _cluster_cpus() -> int:
     return int(ray.cluster_resources()["CPU"])
 
 
+def _live_state_hosts() -> set:
+    return {a for a, state in _state_host_actors().items() if state != "DEAD"}
+
+
+def _held() -> list:
+    """What each idle state host holds (shards, parked blocks)."""
+    import ray
+
+    return ray.get([h.held.remote() for h in idle_hosts()])
+
+
 @pytest.mark.usefixtures("ray_session")
 @pytest.mark.parametrize("n_filter,n_gates", [(1, 0), (3, 2), (8, 5)])
 def test_state_host_count_follows_cpus(n_filter, n_gates):
+    cfg = CrawlConfig(dedup="cuckoo", n_filter_shards=n_filter,
+                      n_gates=n_gates, batch_size=32)
+    cpus = _cluster_cpus()
+    want = min(max(n_filter, n_gates, 1), cpus)
+    state = drv._lease_state_hosts(cfg, cpus)
+    try:
+        assert len(state.handles) == want
+    finally:
+        release(state, cpus)
+
+    crawl(spider_seeds(4), build_registry(SpiderPage),
+          FormulaResolverFactory(**SPEC), cfg)
+    # the hosts stay warm for the next crawl, never more than the CPUs
+    assert want <= len(idle_hosts()) <= cpus
+    assert len(_live_state_hosts()) <= cpus
     before = set(_state_host_actors())
     crawl(spider_seeds(4), build_registry(SpiderPage),
-          FormulaResolverFactory(**SPEC),
-          CrawlConfig(dedup="cuckoo", n_filter_shards=n_filter,
-                      n_gates=n_gates, batch_size=32))
-    created = set(_state_host_actors()) - before
-    assert len(created) == min(max(n_filter, n_gates, 1), _cluster_cpus())
-    # the hosts stop with the crawl rather than outlive it
-    deadline = time.monotonic() + 30
-    while time.monotonic() < deadline:
-        states = _state_host_actors()
-        if all(states[a] == "DEAD" for a in created):
-            break
-        time.sleep(0.2)
-    assert all(_state_host_actors()[a] == "DEAD" for a in created)
+          FormulaResolverFactory(**SPEC), cfg)
+    # a second crawl that needs no more hosts starts no actor
+    assert set(_state_host_actors()) == before
+    assert len(_live_state_hosts()) <= cpus
+    # between crawls every host is empty
+    assert _held() == [{"shards": 0, "parked": 0}] * len(idle_hosts())
 
 
 def _spider(n_filter: int, n_gates: int, dedup: str):
@@ -85,6 +108,68 @@ def test_placement_does_not_change_results():
              for r in ref_rows]
         assert counters == ref_counters, (n_filter, n_gates)
         assert res.waves == ref.waves
+
+
+def _same_crawl(got, want) -> None:
+    """Docs, fetched URLs, counters and waves of two ``_spider`` results."""
+    res, rows, counters = got
+    ref, ref_rows, ref_counters = want
+    assert res.fetched_urls() == ref.fetched_urls()
+    assert [(r["doc_id"], bytes(r["record_json"])) for r in rows] == \
+        [(r["doc_id"], bytes(r["record_json"])) for r in ref_rows]
+    assert counters == ref_counters
+    assert res.waves == ref.waves
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_dead_cached_host_is_replaced():
+    """A cached host killed between crawls is dropped and replaced; the
+    next crawl gives the undisturbed crawl's output."""
+    import ray
+
+    ref = _spider(3, 4, "cuckoo")
+    n_idle = len(idle_hosts())
+    victim = idle_hosts()[0]
+    ray.kill(victim)
+    # wait for the death to land, so the next lease meets a dead host
+    deadline = time.monotonic() + 30
+    while time.monotonic() < deadline and \
+            len(_live_state_hosts()) >= n_idle:
+        time.sleep(0.1)
+    assert len(_live_state_hosts()) == n_idle - 1
+    _same_crawl(_spider(3, 4, "cuckoo"), ref)
+    assert len(idle_hosts()) == n_idle
+    assert _held() == [{"shards": 0, "parked": 0}] * n_idle
+
+
+class BrokenSpiderPage(SpiderPage):
+    """Fails on every page whose number ends in 7 (none is a seed), so an
+    ``error_policy="raise"`` crawl dies in the middle of a later wave."""
+
+    def process_page(self):
+        if self.source.url.endswith("7"):
+            raise RuntimeError(f"broken page {self.source.url}")
+        return super().process_page()
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_failed_crawl_returns_clean_hosts():
+    """A crawl that raises mid-wave still hands its hosts back empty, and
+    a straggling runner task of it cannot reach them; the next crawl gives
+    the undisturbed crawl's output."""
+    from ray import cloudpickle
+
+    cloudpickle.register_pickle_by_value(sys.modules[__name__])
+    ref = _spider(3, 4, "cuckoo")
+    registry = build_registry(SpiderPage)
+    registry[SpiderPage.__name__] = BrokenSpiderPage
+    with pytest.raises(Exception, match="broken page"):
+        crawl(spider_seeds(4), registry, FormulaResolverFactory(**SPEC),
+              CrawlConfig(dedup="cuckoo", n_filter_shards=3, n_gates=4,
+                          per_host_wave_quota=6, robots=ROBOTS,
+                          batch_size=16, error_policy="raise"))
+    assert _held() == [{"shards": 0, "parked": 0}] * len(idle_hosts())
+    _same_crawl(_spider(3, 4, "cuckoo"), ref)
 
 
 class ChainWebFactory:
