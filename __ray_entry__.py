@@ -285,6 +285,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
     from spatula_ray.pipelines import relational as rel
     from spatula_ray.stages import dedup as dd
     from spatula_ray.stages import per_task
+    from spatula_ray.stages.joins import group_aggregate
     from spatula_ray.stages import similarity as sim
     from spatula_ray.stages import text as tx
 
@@ -341,12 +342,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
         return out.map_batches(explode, batch_format="pyarrow")
 
     def lang_counts(sf_dir):
-        import pyarrow as pa
-        from ray.data.aggregate import Count
-
-        out = _docs(sf_dir, ["lang"]).groupby("lang").aggregate(
-            Count(alias_name="n_docs"))
-        return out
+        return group_aggregate(_docs(sf_dir, ["lang"]), "lang",
+                               {"n_docs": (None, "count_all")})
 
     def exact_dedup_q(sf_dir):
         return dd.exact_dedup(_docs_with_copies(sf_dir))
@@ -632,11 +629,10 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
     def dedup_reps(sf_dir):
         import pyarrow as pa
-        from ray.data.aggregate import Count
 
         labels = dup_clusters(sf_dir)
-        sizes = labels.groupby("cluster_id").aggregate(
-            Count(alias_name="cluster_size"))
+        sizes = group_aggregate(labels, "cluster_id",
+                                {"cluster_size": (None, "count_all")})
         # the cluster label IS the representative doc id (min reachable id,
         # self-labels included), so the kept-corpus manifest is one tiny
         # groupby over the label table — no join back to the docs needed
@@ -936,8 +932,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
         joined = hash_bucket_join(
             fluent, docs.select_columns(["doc_id", "lang"]),
             on=["doc_id"]).materialize()
-        langs = sorted(r["lang"] for r in
-                       joined.groupby("lang").count().take_all())
+        langs = sorted(r["lang"] for r in group_aggregate(
+            joined, "lang", {"n": (None, "count_all")}).take_all())
         thr = {}
         for lg in langs:
             def only(t: pa.Table, lg=lg) -> pa.Table:
@@ -1435,7 +1431,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         import numpy as np
         import pyarrow as pa
 
-        from ray.data.aggregate import Sum
         from spatula_ray.stages.ingest import crawl_budget_allocation
 
         # fixture: 97 hosts, per-doc weight contribution doc_id%13+1
@@ -1451,10 +1446,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
                 "host": pa.array(host),
                 "w": pa.array(d % 13 + 1)})
 
-        per_host = (_docs(sf_dir, ["doc_id"])
-                    .map_batches(mk, batch_format="pyarrow")
-                    .groupby("host")
-                    .aggregate(Sum("w", alias_name="weight")))
+        per_host = group_aggregate(
+            _docs(sf_dir, ["doc_id"]).map_batches(mk, batch_format="pyarrow"),
+            "host", {"weight": ("w", "sum")})
         return crawl_budget_allocation(per_host, budget=10_000_000)
 
     def host_rank_q(sf_dir):
@@ -1587,12 +1581,10 @@ def queries() -> dict[str, Callable[[str], Any]]:
                     zero_copy_only=False).astype(np.int64)),
             })
 
-        from ray.data.aggregate import Count, Sum
-
-        agg = (joined.map_batches(bucketize, batch_format="pyarrow")
-               .groupby("quartile")
-               .aggregate(Count(alias_name="n_docs"),
-                          Sum("dup", alias_name="n_dup")))
+        agg = group_aggregate(
+            joined.map_batches(bucketize, batch_format="pyarrow"),
+            "quartile", {"n_docs": (None, "count_all"),
+                         "n_dup": ("dup", "sum")})
 
         def finish(t: pa.Table) -> pa.Table:
             n = t["n_docs"].to_numpy(zero_copy_only=False).astype(
@@ -2278,7 +2270,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         import numpy as np
         import pyarrow as pa
         import pyarrow.compute as pc
-        from ray.data.aggregate import Sum
 
         from spatula_ray.stages.bpe import bpe_token_counts
         from spatula_ray.stages.joins import hash_bucket_join
@@ -2301,11 +2292,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
         joined = hash_bucket_join(
             bt, docs.map_batches(meta, batch_format="pyarrow"),
             on=["doc_id"])
-        agg = joined.groupby("lang").aggregate(
-            Sum("one", alias_name="n_docs"),
-            Sum("nc", alias_name="n_chars"),
-            Sum("n_words", alias_name="n_words"),
-            Sum("n_tokens", alias_name="n_tokens"))
+        agg = group_aggregate(joined, "lang", {
+            "n_docs": ("one", "sum"), "n_chars": ("nc", "sum"),
+            "n_words": ("n_words", "sum"), "n_tokens": ("n_tokens", "sum")})
 
         def ratios(t: pa.Table) -> pa.Table:
             nc = t["n_chars"].to_numpy(zero_copy_only=False)

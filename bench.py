@@ -193,9 +193,35 @@ SUITE10X_QUERIES = ["text_stats", "exact_dedup", "minhash_dup_pairs",
                     "politeness_budget", "ccnet_buckets", "jl_project"]
 
 
-def _build_10x(src_dir: str, dst_dir: str, factor: int = 10) -> None:
+_10X_TABLES = ("documents", "embeddings", "events", "lineitem")
+
+
+def _selected(default: list) -> list:
+    """GRAFT_SUITE_QUERIES=a,b,c restricts a sweep (incremental runs)."""
+    return [s for s in os.environ.get("GRAFT_SUITE_QUERIES", "").split(",")
+            if s] or default
+
+
+def _tables_read(names) -> list:
+    """The replicated tables (of ``_10X_TABLES``) that the oracle SQL of
+    the named queries reads; all of them for a query without oracle
+    SQL."""
+    import re
+
+    import __ray_entry__ as entrymod
+
+    sql = entrymod.oracle_sql()
+    if any(n not in sql for n in names):
+        return list(_10X_TABLES)
+    return [t for t in _10X_TABLES
+            if any(re.search(rf"\b{t}\b", sql[n]) for n in names)]
+
+
+def _build_10x(src_dir: str, dst_dir: str, factor: int = 10,
+               tables=_10X_TABLES) -> None:
     """Deterministically synthesize a 10x-scale input dir from src_dir
-    (no RNG, no external data): documents replicated 10x with shifted
+    (no RNG, no external data), writing only ``tables`` that dst_dir
+    does not hold yet: documents replicated 10x with shifted
     doc_ids and a per-replica VOCABULARY remap (every token gets a
     '~r{r}' suffix — a bijection, so within-replica similarity structure
     is exactly the original's, while cross-replica token sets are
@@ -205,69 +231,77 @@ def _build_10x(src_dir: str, dst_dir: str, factor: int = 10) -> None:
     the shingle space and flood the LSH banding with false candidates —
     both would measure fixture artifacts, not engine scaling. Embeddings
     replicate with shifted vec_ids (top-k output size is fixed, so exact
-    copies are fine)."""
+    copies are fine). Each table is written under a temporary name and
+    renamed when complete, so an interrupted build is redone."""
     import pyarrow as pa
     import pyarrow.compute as pc
     import pyarrow.parquet as pq
 
-    marker = os.path.join(dst_dir, ".complete")
-    if os.path.exists(marker):
-        return
     os.makedirs(dst_dir, exist_ok=True)
     shift = 1_000_000
 
-    t = pq.read_table(os.path.join(src_dir, "documents.parquet"))
-    parts = []
-    for r in range(factor):
-        salted = []
-        for txt in t["text"].to_pylist():
-            toks = (txt or "").split(" ")
-            salted.append(" ".join(f"{w}~r{r}" for w in toks))
-        tt = t.set_column(t.schema.get_field_index("doc_id"), "doc_id",
-                          pc.add(t["doc_id"], r * shift))
-        tt = tt.set_column(tt.schema.get_field_index("text"), "text",
-                           pa.array(salted, type=pa.string()))
-        parts.append(tt)
-    pq.write_table(pa.concat_tables(parts).replace_schema_metadata(None),
-                   os.path.join(dst_dir, "documents.parquet"))
-
-    e = pq.read_table(os.path.join(src_dir, "embeddings.parquet"))
-    parts = [e.set_column(e.schema.get_field_index("vec_id"), "vec_id",
-                          pc.add(e["vec_id"], r * shift))
-             for r in range(factor)]
-    pq.write_table(pa.concat_tables(parts).replace_schema_metadata(None),
-                   os.path.join(dst_dir, "embeddings.parquet"))
-
-    # events: shift event_id AND user_id per replica — user keys stay
-    # disjoint across replicas, so keyed joins/sessions scale linearly
-    # (10x rows -> 10x output), never quadratically
-    ev = pq.read_table(os.path.join(src_dir, "events.parquet"))
-    parts = []
-    for r in range(factor):
-        tt = ev.set_column(ev.schema.get_field_index("event_id"), "event_id",
-                           pc.add(ev["event_id"], r * shift))
-        tt = tt.set_column(tt.schema.get_field_index("user_id"), "user_id",
-                           pc.add(tt["user_id"], r * shift))
-        parts.append(tt)
-    pq.write_table(pa.concat_tables(parts).replace_schema_metadata(None),
-                   os.path.join(dst_dir, "events.parquet"))
-
-    # lineitem (table_profile's input): profile columns only, l_orderkey
-    # shifted per replica so keys stay disjoint. Streamed one replica per
-    # row group — at factor 100 the concat-everything pattern above would
-    # hold ~60M rows x 8 cols in one table
-    li = pq.read_table(os.path.join(src_dir, "lineitem.parquet"),
-                       columns=["l_orderkey", "l_partkey", "l_suppkey",
-                                "l_linenumber", "l_quantity",
-                                "l_extendedprice", "l_discount", "l_tax"])
-    li = li.replace_schema_metadata(None)
-    with pq.ParquetWriter(os.path.join(dst_dir, "lineitem.parquet"),
-                          li.schema) as w:
+    def documents(out: str) -> None:
+        t = pq.read_table(os.path.join(src_dir, "documents.parquet"))
+        parts = []
         for r in range(factor):
-            w.write_table(li.set_column(
-                li.schema.get_field_index("l_orderkey"), "l_orderkey",
-                pc.add(li["l_orderkey"], r * shift)))
-    open(marker, "w").close()
+            salted = []
+            for txt in t["text"].to_pylist():
+                toks = (txt or "").split(" ")
+                salted.append(" ".join(f"{w}~r{r}" for w in toks))
+            tt = t.set_column(t.schema.get_field_index("doc_id"), "doc_id",
+                              pc.add(t["doc_id"], r * shift))
+            tt = tt.set_column(tt.schema.get_field_index("text"), "text",
+                               pa.array(salted, type=pa.string()))
+            parts.append(tt)
+        pq.write_table(pa.concat_tables(parts).replace_schema_metadata(None),
+                       out)
+
+    def embeddings(out: str) -> None:
+        e = pq.read_table(os.path.join(src_dir, "embeddings.parquet"))
+        parts = [e.set_column(e.schema.get_field_index("vec_id"), "vec_id",
+                              pc.add(e["vec_id"], r * shift))
+                 for r in range(factor)]
+        pq.write_table(pa.concat_tables(parts).replace_schema_metadata(None),
+                       out)
+
+    def events(out: str) -> None:
+        # shift event_id AND user_id per replica — user keys stay
+        # disjoint across replicas, so keyed joins/sessions scale
+        # linearly (10x rows -> 10x output), never quadratically
+        ev = pq.read_table(os.path.join(src_dir, "events.parquet"))
+        parts = []
+        for r in range(factor):
+            tt = ev.set_column(ev.schema.get_field_index("event_id"),
+                               "event_id", pc.add(ev["event_id"], r * shift))
+            tt = tt.set_column(tt.schema.get_field_index("user_id"),
+                               "user_id", pc.add(tt["user_id"], r * shift))
+            parts.append(tt)
+        pq.write_table(pa.concat_tables(parts).replace_schema_metadata(None),
+                       out)
+
+    def lineitem(out: str) -> None:
+        # table_profile's input: profile columns only, l_orderkey shifted
+        # per replica so keys stay disjoint. Streamed one replica per row
+        # group — at factor 100 the concat-everything pattern above
+        # would hold ~60M rows x 8 cols in one table
+        li = pq.read_table(os.path.join(src_dir, "lineitem.parquet"),
+                           columns=["l_orderkey", "l_partkey", "l_suppkey",
+                                    "l_linenumber", "l_quantity",
+                                    "l_extendedprice", "l_discount", "l_tax"])
+        li = li.replace_schema_metadata(None)
+        with pq.ParquetWriter(out, li.schema) as w:
+            for r in range(factor):
+                w.write_table(li.set_column(
+                    li.schema.get_field_index("l_orderkey"), "l_orderkey",
+                    pc.add(li["l_orderkey"], r * shift)))
+
+    build = {"documents": documents, "embeddings": embeddings,
+             "events": events, "lineitem": lineitem}
+    for name in tables:
+        path = os.path.join(dst_dir, f"{name}.parquet")
+        if not os.path.exists(path):
+            build[name](path + ".tmp")
+            os.replace(path + ".tmp", path)
 
 
 SUITE100X_QUERIES = ["text_stats", "exact_dedup", "minhash_dup_pairs",
@@ -289,7 +323,8 @@ def run_suite100x() -> None:
     ncpu = int(os.environ.get("RAY_GRAFT_CPUS", "32") or 32)
     sf_dir = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
     big_dir = os.environ.get("GRAFT_100X_DIR", "/tmp/graft_suite100x")
-    _build_10x(sf_dir, big_dir, factor=100)
+    names = _selected(SUITE100X_QUERIES)
+    _build_10x(sf_dir, big_dir, factor=100, tables=_tables_read(names))
 
     import logging
 
@@ -307,9 +342,7 @@ def run_suite100x() -> None:
     qs = entrymod.queries()
     out = {"metric": "suite100x", "unit": "sec", "num_cpus": ncpu,
            "big_dir": big_dir, "queries": {}}
-    sel = [s for s in os.environ.get("GRAFT_SUITE_QUERIES", "").split(",")
-           if s]
-    for name in (sel or SUITE100X_QUERIES):
+    for name in names:
         t0 = time.time()
         n = _consume(qs[name](big_dir))
         out["queries"][name] = {"sec_100x": round(time.time() - t0, 3),
@@ -328,7 +361,8 @@ def run_suite10x() -> None:
     ncpu = int(os.environ.get("RAY_GRAFT_CPUS", "32") or 32)
     sf_dir = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
     big_dir = os.environ.get("GRAFT_10X_DIR", "/tmp/graft_suite10x")
-    _build_10x(sf_dir, big_dir)
+    names = _selected(SUITE10X_QUERIES)
+    _build_10x(sf_dir, big_dir, tables=_tables_read(names))
 
     import logging
 
@@ -346,10 +380,7 @@ def run_suite10x() -> None:
     qs = entrymod.queries()
     out = {"metric": "suite10x", "unit": "sec", "num_cpus": ncpu,
            "sf_dir": sf_dir, "big_dir": big_dir, "queries": {}}
-    # GRAFT_SUITE_QUERIES=a,b,c restricts the sweep (incremental runs)
-    sel = [s for s in os.environ.get("GRAFT_SUITE_QUERIES", "").split(",")
-           if s]
-    for name in (sel or SUITE10X_QUERIES):
+    for name in names:
         t0 = time.time()
         n1 = _consume(qs[name](sf_dir))
         t1 = round(time.time() - t0, 3)

@@ -176,6 +176,28 @@ def _run_wave_block(crawl_id: str, spec: list, wave: int, batch_size: int,
     return _rows_of(out, KIND_EMIT, docs_schema), pages, _page_counts(pages)
 
 
+def _get_wave(tasks: list) -> list:
+    """The last return of each of one wave's tasks (``tasks`` holds each
+    task's tuple of return refs). When a task fails, the others are
+    cancelled and every return is awaited before the error propagates,
+    so no task of a failed crawl keeps a CPU busy or calls a state host
+    after the crawl has handed its hosts back, and no failed return is
+    left for Ray to report as unhandled."""
+    import ray
+
+    try:
+        return ray.get([refs[-1] for refs in tasks])
+    except Exception:
+        for refs in tasks:
+            ray.cancel(refs[-1])
+        for r in [r for refs in tasks for r in refs]:
+            try:
+                ray.get(r)
+            except Exception:   # cancelled, or the failure being raised
+                pass
+        raise
+
+
 def _read_frontier_part(path: str):
     """Raw task reading one checkpointed frontier part on resume; returns
     the block, projected to the frontier schema (a part of an earlier
@@ -720,7 +742,7 @@ def _crawl(seeds: Sequence[Page], registry: Dict[str, type],
                                     [(a, b) for _, a, b in piece],
                                     *[r for r, _, _ in piece])
                     for piece in _slices(frontier, k)]
-        counts = ray.get([c for _, _, c in outs])
+        counts = _get_wave(outs)
         for c in counts:
             stats.update(c)
             ws["pages"] += c["pages"]

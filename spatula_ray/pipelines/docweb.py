@@ -104,11 +104,11 @@ def docweb_span_stats(sf_dir: str):
     Aggregates the ACTUAL crawled spans (so the oracle cross-checks the
     span-sequence invariant in aggregate form): per-batch vectorized
     partial sums (pandas C groupby over the flattened span table — a
-    doc's spans may straddle blocks), then one groupby-sum on doc_id
-    (Ray pre-combines map-side)."""
+    doc's spans may straddle blocks), then one grouped sum on doc_id."""
     import pandas as pd
     import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
+
+    from ..stages.joins import group_aggregate
 
     spans = docweb_spans(sf_dir)
 
@@ -130,11 +130,10 @@ def docweb_span_stats(sf_dir: str):
             "c": pa.array(g["c"].to_numpy()),
         })
 
-    agg = spans.map_batches(partial, batch_format="pyarrow") \
-        .groupby("doc_id").aggregate(Sum("t", alias_name="n_text_spans"),
-                                     Sum("m", alias_name="n_media_spans"),
-                                     Sum("c", alias_name="n_text_chars"))
-    return agg
+    return group_aggregate(spans.map_batches(partial, batch_format="pyarrow"),
+                           "doc_id", {"n_text_spans": ("t", "sum"),
+                                      "n_media_spans": ("m", "sum"),
+                                      "n_text_chars": ("c", "sum")})
 
 
 def docweb_seen_urls(sf_dir: str):
@@ -142,6 +141,7 @@ def docweb_seen_urls(sf_dir: str):
     actually fetched)."""
     result = crawl_docweb(sf_dir)
     from ..engine.keys import canonicalize
+    from ..stages.joins import group_aggregate
 
     def proj(batch: pa.Table) -> pa.Table:
         urls = [canonicalize(u) for u, s in zip(batch["source_url"].to_pylist(),
@@ -150,7 +150,8 @@ def docweb_seen_urls(sf_dir: str):
         return pa.table({"url": pa.array(urls, type=pa.string())})
 
     ds = result.page_log.map_batches(proj, batch_format="pyarrow")
-    return ds.groupby("url").count().select_columns(["url"])
+    return group_aggregate(ds, "url", {"n": (None, "count_all")}) \
+        .select_columns(["url"])
 
 
 def docweb_scout(sf_dir: str):
@@ -174,11 +175,11 @@ def docweb_scout(sf_dir: str):
 
 def docweb_class_counts(sf_dir: str):
     """Per-page-class fetch counts from the lineage log."""
+    from ..stages.joins import group_aggregate
+
     result = crawl_docweb(sf_dir)
-    out = result.page_log.groupby("page_class").count()
-    return out.map_batches(
-        lambda t: t.rename_columns(["page_class", "n_pages"]),
-        batch_format="pyarrow")
+    return group_aggregate(result.page_log, "page_class",
+                           {"n_pages": (None, "count_all")})
 
 
 def docweb_host_stats(sf_dir: str):
@@ -189,7 +190,8 @@ def docweb_host_stats(sf_dir: str):
     URL, so the oracle cross-checks the crawler's own host routing, not
     a re-derivation from the input table."""
     import pyarrow.compute as pc
-    from ray.data.aggregate import Count, Sum
+
+    from ..stages.joins import group_aggregate
 
     result = crawl_docweb(sf_dir)
 
@@ -203,7 +205,6 @@ def docweb_host_stats(sf_dir: str):
                                        "n_chars"),
         })
 
-    return (result.docs.map_batches(decode, batch_format="pyarrow")
-            .groupby("host")
-            .aggregate(Count(alias_name="n_docs"),
-                       Sum("n_chars", alias_name="total_chars")))
+    return group_aggregate(
+        result.docs.map_batches(decode, batch_format="pyarrow"), "host",
+        {"n_docs": (None, "count_all"), "total_chars": ("n_chars", "sum")})

@@ -1,6 +1,6 @@
 """Relational / events pipelines over the TPC-H-ish test tables —
 demonstrations of the engine's general data-processing operators (filter,
-vectorized projection, partial-aggregate groupby, hash-bucket join,
+vectorized projection, two-phase Arrow groupby aggregate, hash-bucket join,
 broadcast lookup, top-k, windowed and sessionized event aggregation), each
 with an exact DuckDB oracle in __ray_entry__.
 
@@ -37,9 +37,10 @@ def _grid(col, scale: float):
                                      pa.scalar(0.5))), pa.scalar(scale))
 
 def q1_pricing_summary(sf_dir: str):
-    """TPC-H Q1 shape: filter -> vectorized revenue -> grouped aggregate
-    with per-batch partial combine done by Ray's hash aggregate."""
-    from ray.data.aggregate import Count, Mean, Sum
+    """TPC-H Q1 shape: filter -> vectorized revenue -> grouped aggregate,
+    folded per block in Arrow and combined per key bucket
+    (:func:`~spatula_ray.stages.joins.group_aggregate`)."""
+    from ..stages.joins import group_aggregate
 
     ds = _read(sf_dir, "lineitem",
                ["l_returnflag", "l_linestatus", "l_quantity",
@@ -54,14 +55,14 @@ def q1_pricing_summary(sf_dir: str):
         return t.append_column("disc_price", disc_price)
 
     ds = ds.map_batches(prep, batch_format="pyarrow")
-    out = ds.groupby(["l_returnflag", "l_linestatus"]).aggregate(
-        Sum("l_quantity", alias_name="sum_qty"),
-        Sum("l_extendedprice", alias_name="sum_base_price"),
-        Sum("disc_price", alias_name="sum_disc_price"),
-        Mean("l_quantity", alias_name="avg_qty"),
-        Mean("l_extendedprice", alias_name="avg_price"),
-        Count(alias_name="count_order"),
-    )
+    out = group_aggregate(ds, ["l_returnflag", "l_linestatus"], {
+        "sum_qty": ("l_quantity", "sum"),
+        "sum_base_price": ("l_extendedprice", "sum"),
+        "sum_disc_price": ("disc_price", "sum"),
+        "avg_qty": ("l_quantity", "mean"),
+        "avg_price": ("l_extendedprice", "mean"),
+        "count_order": (None, "count_all"),
+    })
 
     def rounder(t: pa.Table) -> pa.Table:
         return pa.table({
@@ -84,9 +85,7 @@ def top_orders_by_revenue(sf_dir: str, k: int = 10):
     """lineitem x orders hash-bucket join -> per-order revenue -> top-k.
     Top-k is computed on the *rounded* revenue with an orderkey tiebreak so
     ranking is float-order independent."""
-    from ray.data.aggregate import Sum
-
-    from ..stages.joins import hash_bucket_join
+    from ..stages.joins import group_aggregate, hash_bucket_join
 
     li = _read(sf_dir, "lineitem", ["l_orderkey", "l_extendedprice", "l_discount"])
 
@@ -96,7 +95,7 @@ def top_orders_by_revenue(sf_dir: str, k: int = 10):
         return pa.table({"o_orderkey": t["l_orderkey"], "rev": rev})
 
     li = li.map_batches(revenue, batch_format="pyarrow")
-    per_order = li.groupby("o_orderkey").aggregate(Sum("rev", alias_name="revenue"))
+    per_order = group_aggregate(li, "o_orderkey", {"revenue": ("rev", "sum")})
 
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_orderdate", "o_orderpriority"])
     joined = hash_bucket_join(per_order, orders, on=["o_orderkey"],
@@ -125,9 +124,8 @@ def customer_nation_revenue(sf_dir: str):
     shuffle; customer — NOT small at scale — joins orders through the
     explicit hash-bucket exchange. No driver-side materialization of
     customer."""
-    from ray.data.aggregate import Count, Sum
-
-    from ..stages.joins import broadcast_lookup, hash_bucket_join
+    from ..stages.joins import (broadcast_lookup, group_aggregate,
+                                hash_bucket_join)
 
     nation = _read(sf_dir, "nation", ["n_nationkey", "n_name"]).to_pandas()
     cust = _read(sf_dir, "customer", ["c_custkey", "c_nationkey"])
@@ -141,10 +139,10 @@ def customer_nation_revenue(sf_dir: str):
     cust = cust.map_batches(dim, batch_format="pyarrow")
     orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
     joined = hash_bucket_join(orders, cust, on=["o_custkey"], num_buckets=16)
-    out = joined.groupby("n_name").aggregate(
-        Sum("o_totalprice", alias_name="total_revenue"),
-        Count(alias_name="n_orders"),
-    )
+    out = group_aggregate(joined, "n_name", {
+        "total_revenue": ("o_totalprice", "sum"),
+        "n_orders": (None, "count_all"),
+    })
 
     def rounder(t: pa.Table) -> pa.Table:
         return pa.table({
@@ -160,7 +158,7 @@ def events_hourly(sf_dir: str):
     """Tumbling 1-hour window per event_type: count + sum(value). Windows
     are computed vectorized per batch (epoch-hour int), then a grouped
     aggregate — the batch/streaming window pattern."""
-    from ray.data.aggregate import Count, Sum
+    from ..stages.joins import group_aggregate
 
     ev = _read(sf_dir, "events", ["ts", "event_type", "value"])
 
@@ -174,10 +172,10 @@ def events_hourly(sf_dir: str):
         })
 
     ds = ev.map_batches(win, batch_format="pyarrow")
-    out = ds.groupby(["event_type", "window_start"]).aggregate(
-        Count(alias_name="n_events"),
-        Sum("value", alias_name="sum_value"),
-    )
+    out = group_aggregate(ds, ["event_type", "window_start"], {
+        "n_events": (None, "count_all"),
+        "sum_value": ("value", "sum"),
+    })
 
     def rounder(t: pa.Table) -> pa.Table:
         return pa.table({
@@ -239,9 +237,7 @@ def user_sessions(sf_dir: str, gap_minutes: int = 30,
 def supplier_part_join(sf_dir: str):
     """part x lineitem hash-bucket join -> per-brand quantity totals
     (two large-ish sides, explicit bucket key)."""
-    from ray.data.aggregate import Count, Sum
-
-    from ..stages.joins import hash_bucket_join
+    from ..stages.joins import group_aggregate, hash_bucket_join
 
     li = _read(sf_dir, "lineitem", ["l_partkey", "l_quantity"])
     part = _read(sf_dir, "part", ["p_partkey", "p_brand"])
@@ -251,10 +247,10 @@ def supplier_part_join(sf_dir: str):
 
     li = li.map_batches(key, batch_format="pyarrow")
     joined = hash_bucket_join(li, part, on=["p_partkey"], num_buckets=16)
-    out = joined.groupby("p_brand").aggregate(
-        Sum("qty", alias_name="total_qty"),
-        Count(alias_name="n_items"),
-    )
+    out = group_aggregate(joined, "p_brand", {
+        "total_qty": ("qty", "sum"),
+        "n_items": (None, "count_all"),
+    })
 
     def rounder(t: pa.Table) -> pa.Table:
         return pa.table({
@@ -311,9 +307,7 @@ def purchase_followups(sf_dir: str):
     exactly: ``lo = 1`` microsecond makes the left bound strict. Value
     sums snap to the 1e-4 grid (the suite's float policy). Oracle: plain
     SQL BETWEEN join + GROUP BY."""
-    from ray.data.aggregate import Count, Sum
-
-    from ..stages.joins import range_join
+    from ..stages.joins import group_aggregate, range_join
 
     ev = _read(sf_dir, "events", ["event_id", "ts", "user_id",
                                   "event_type", "value"])
@@ -336,8 +330,8 @@ def purchase_followups(sf_dir: str):
     joined = range_join(purchases, clicks, left_on="ts",
                         right_on="click_ts", lo=1, hi=hour_us,
                         by="user_id")
-    out = joined.groupby("event_id").aggregate(
-        Count(alias_name="n_clicks"), Sum("value", alias_name="click_value"))
+    out = group_aggregate(joined, "event_id", {
+        "n_clicks": (None, "count_all"), "click_value": ("value", "sum")})
 
     def rounder(t: pa.Table) -> pa.Table:
         return pa.table({
@@ -409,7 +403,7 @@ def events_3h_sliding(sf_dir: str):
     input is the HOURLY table (rows = types x hours — time-range-bounded,
     not data-bounded), so one group per type is safe at any corpus size;
     the searchsorted + prefix-sum kernel is O(hours) C code."""
-    from ray.data.aggregate import Count, Sum
+    from ..stages.joins import group_aggregate
 
     ev = _read(sf_dir, "events", ["ts", "event_type", "value"])
 
@@ -419,10 +413,10 @@ def events_3h_sliding(sf_dir: str):
         return pa.table({"event_type": t["event_type"],
                          "window_start": hour, "value": t["value"]})
 
-    hourly = (ev.map_batches(win, batch_format="pyarrow")
-              .groupby(["event_type", "window_start"])
-              .aggregate(Count(alias_name="n_events"),
-                         Sum("value", alias_name="sum_value")))
+    hourly = group_aggregate(ev.map_batches(win, batch_format="pyarrow"),
+                             ["event_type", "window_start"],
+                             {"n_events": (None, "count_all"),
+                              "sum_value": ("value", "sum")})
 
     def roll(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values("window_start", kind="mergesort")
@@ -453,7 +447,7 @@ def props_k_stats(sf_dir: str):
     fixture's flat ``{"k": int}`` payloads; a general nested-JSON decode
     would swap in a per-batch ``json.loads`` stage at the same seam.
     avg_k is one IEEE division of exact int64s — identical in SQL."""
-    from ray.data.aggregate import Count, Sum
+    from ..stages.joins import group_aggregate
 
     ev = _read(sf_dir, "events", ["event_type", "props"])
 
@@ -462,9 +456,9 @@ def props_k_stats(sf_dir: str):
         k = pc.cast(pc.struct_field(m, "k"), pa.int64())
         return pa.table({"event_type": t["event_type"], "k": k})
 
-    agg = (ev.map_batches(extract, batch_format="pyarrow")
-           .groupby("event_type")
-           .aggregate(Count(alias_name="n"), Sum("k", alias_name="sum_k")))
+    agg = group_aggregate(ev.map_batches(extract, batch_format="pyarrow"),
+                          "event_type", {"n": (None, "count_all"),
+                                         "sum_k": ("k", "sum")})
 
     def finish(t: pa.Table) -> pa.Table:
         s = t["sum_k"].combine_chunks().to_numpy().astype(np.int64)
@@ -489,9 +483,7 @@ def event_funnel(sf_dir: str):
     canonical conversion readout. Pure relational plan: three
     groupby-mins chained through hash-bucket joins; every shuffle moves
     (user_id, int64) pairs only."""
-    from ray.data.aggregate import Min
-
-    from ..stages.joins import hash_bucket_join
+    from ..stages.joins import group_aggregate, hash_bucket_join
 
     ev = _read(sf_dir, "events", ["user_id", "ts", "event_type"])
 
@@ -505,8 +497,9 @@ def event_funnel(sf_dir: str):
         return fn
 
     def stage_min(kind: str, alias: str):
-        return ev.map_batches(prep(kind), batch_format="pyarrow") \
-            .groupby("user_id").aggregate(Min("ts_us", alias_name=alias))
+        return group_aggregate(ev.map_batches(prep(kind),
+                                              batch_format="pyarrow"),
+                               "user_id", {alias: ("ts_us", "min")})
 
     s1 = stage_min("signup", "t1").materialize()
 
@@ -517,9 +510,8 @@ def event_funnel(sf_dir: str):
         def later(t: pa.Table) -> pa.Table:
             return t.filter(pc.greater(t["ts_us"], t[prev_col]))
 
-        return (j.map_batches(later, batch_format="pyarrow")
-                .groupby("user_id").aggregate(Min("ts_us",
-                                                  alias_name=alias)))
+        return group_aggregate(j.map_batches(later, batch_format="pyarrow"),
+                               "user_id", {alias: ("ts_us", "min")})
 
     s2 = after("click", s1, "t1", "t2").materialize()
     s3 = after("purchase", s2, "t2", "t3").materialize()
@@ -534,11 +526,10 @@ def retention_cohorts(sf_dir: str):
     """Weekly retention matrix: users cohorted by the week of their first
     signup; for every later week, how many of that cohort were active
     (any event). Returns ``(cohort_week, week, n_users)``. Shuffles move
-    (user_id, week) pairs; the activity table is pre-deduplicated with a
-    map-side-combining groupby before the cohort join."""
-    from ray.data.aggregate import Count, Min
-
-    from ..stages.joins import hash_bucket_join
+    (user_id, week) pairs; the activity table is pre-deduplicated by the
+    grouped aggregate, which folds each block before its exchange, ahead
+    of the cohort join."""
+    from ..stages.joins import group_aggregate, hash_bucket_join
 
     ev = _read(sf_dir, "events", ["user_id", "ts", "event_type"])
 
@@ -552,15 +543,12 @@ def retention_cohorts(sf_dir: str):
 
     wk = ev.map_batches(weeks, batch_format="pyarrow").materialize()
 
-    cohort = (wk.map_batches(
+    cohort = group_aggregate(wk.map_batches(
         lambda t: t.filter(pc.equal(t["event_type"], "signup")),
-        batch_format="pyarrow")
-        .groupby("user_id")
-        .aggregate(Min("week", alias_name="cohort_week")))
-    # distinct (user, week) activity — groupby pre-combines map-side
-    active = wk.map_batches(
-        lambda t: t.select(["user_id", "week"]), batch_format="pyarrow") \
-        .groupby(["user_id", "week"]).aggregate(Count(alias_name="__n")) \
+        batch_format="pyarrow"), "user_id", {"cohort_week": ("week", "min")})
+    # distinct (user, week) activity — each block folds its pairs first
+    active = group_aggregate(wk, ["user_id", "week"],
+                             {"__n": (None, "count_all")}) \
         .map_batches(lambda t: t.drop_columns(["__n"]),
                      batch_format="pyarrow")
     j = hash_bucket_join(active, cohort, on=["user_id"])
@@ -568,6 +556,6 @@ def retention_cohorts(sf_dir: str):
     def at_or_after(t: pa.Table) -> pa.Table:
         return t.filter(pc.greater_equal(t["week"], t["cohort_week"]))
 
-    return (j.map_batches(at_or_after, batch_format="pyarrow")
-            .groupby(["cohort_week", "week"])
-            .aggregate(Count(alias_name="n_users")))
+    return group_aggregate(j.map_batches(at_or_after, batch_format="pyarrow"),
+                           ["cohort_week", "week"],
+                           {"n_users": (None, "count_all")})

@@ -40,7 +40,7 @@ def word_symbol_table(docs, text_col: str = "text"):
     """Distributed word-frequency count -> (word, freq, syms) Dataset
     with syms = the word's codepoint list. The one corpus-wide exchange
     in BPE training; everything after is vocab-bounded."""
-    from ray.data.aggregate import Sum
+    from .joins import group_aggregate
 
     def partial(t: pa.Table) -> pa.Table:
         out: list = []
@@ -51,8 +51,8 @@ def word_symbol_table(docs, text_col: str = "text"):
         return pa.table({"word": pa.array(words, type=pa.string()),
                          "freq": pa.array(counts.astype(np.int64))})
 
-    wc = (docs.map_batches(partial, batch_format="pyarrow")
-          .groupby("word").aggregate(Sum("freq", alias_name="freq")))
+    wc = group_aggregate(docs.map_batches(partial, batch_format="pyarrow"),
+                         "word", {"freq": ("freq", "sum")})
 
     def with_syms(t: pa.Table) -> pa.Table:
         words = t["word"].to_pylist()
@@ -150,15 +150,16 @@ def _train(docs, n_merges: int, text_col: str = "text"):
     the learned merge list and final_vocab_ds the (word, freq, syms)
     Dataset AFTER all merges — i.e. the encoded form of every distinct
     word, which is all a tokenizer needs to encode the corpus."""
-    from ray.data.aggregate import Sum
+    from .joins import group_aggregate
 
     ds = word_symbol_table(docs, text_col).materialize()
     steps: list = []
     for step in range(1, n_merges + 1):
-        cand = (ds.map_batches(_pair_partials, batch_format="pyarrow")
-                .groupby("pair").aggregate(Sum("c", alias_name="c"))
-                .map_batches(_local_top1, batch_format="pyarrow")
-                .take_all())
+        counts = group_aggregate(
+            ds.map_batches(_pair_partials, batch_format="pyarrow"), "pair",
+            {"c": ("c", "sum")})
+        cand = counts.map_batches(_local_top1,
+                                  batch_format="pyarrow").take_all()
         if not cand:
             break
         best = min(cand, key=lambda r: (-r["c"], r["pair"]))
@@ -184,9 +185,7 @@ def bpe_token_counts(docs, n_merges: int = 8, text_col: str = "text"):
     trainer's unrolled CTE chain and reproduces counts bit-for-bit.
     Docs whose text has no nonempty word are absent from the output
     (inner-join semantics, mirrored by the oracle)."""
-    from ray.data.aggregate import Sum
-
-    from .joins import hash_bucket_join
+    from .joins import group_aggregate, hash_bucket_join
 
     _, vocab = _train(docs, n_merges, text_col)
 
@@ -232,7 +231,6 @@ def bpe_token_counts(docs, n_merges: int = 8, text_col: str = "text"):
                          "n_words": t["c"],
                          "n_tokens": pa.array((c * n).astype(np.int64))})
 
-    return (j.map_batches(partial_tok, batch_format="pyarrow")
-            .groupby("doc_id")
-            .aggregate(Sum("n_words", alias_name="n_words"),
-                       Sum("n_tokens", alias_name="n_tokens")))
+    return group_aggregate(j.map_batches(partial_tok, batch_format="pyarrow"),
+                           "doc_id", {"n_words": ("n_words", "sum"),
+                                      "n_tokens": ("n_tokens", "sum")})

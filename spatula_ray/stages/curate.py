@@ -185,14 +185,15 @@ def temperature_mix(ds, source_col: str = "source", key: str = "doc_id",
     import math
 
     import pandas as pd
-    from ray.data.aggregate import Count
+
+    from .joins import group_aggregate
 
     if temperature != 0.5:
         raise ValueError("temperature_mix: only temperature=0.5 (sqrt) "
                          "is bit-exact across engines; got %r"
                          % (temperature,))
-    counts = (ds.select_columns([source_col]).groupby(source_col)
-              .aggregate(Count(alias_name="ns")).take_all())
+    counts = group_aggregate(ds.select_columns([source_col]), source_col,
+                             {"ns": (None, "count_all")}).take_all()
     ns = {r[source_col]: int(r["ns"]) for r in counts}
     total = sum(ns.values())
     target = total // 2
@@ -235,8 +236,6 @@ def pack_sequences(ds, budget: int = 512, bucket_span: int = 4096):
          C kernel per multi-thousand-doc bucket via groupby.map_groups.
 
     Input ``ds`` must have columns (doc_id, text)."""
-    from ray.data.aggregate import Sum
-
     def tokens(t: pa.Table) -> pa.Table:
         nt = pc.list_value_length(
             pc.split_pattern(t["text"], pattern=" ")).cast(pa.int64())
@@ -260,10 +259,10 @@ def pack_by_cost(costs, budget: int, cost_col: str = "cost"):
     totals scanned once on the driver, vectorized per-bucket cumsum).
     The cost model is the caller's: token counts, interleaved
     text+media patch costs, byte sizes."""
-    from ray.data.aggregate import Sum
+    from .joins import group_aggregate
 
-    per_bucket = costs.groupby("__bucket").aggregate(
-        Sum(cost_col, alias_name="tok")).take_all()
+    per_bucket = group_aggregate(costs, "__bucket",
+                                 {"tok": (cost_col, "sum")}).take_all()
     per_bucket.sort(key=lambda r: r["__bucket"])
     offsets: Dict[int, int] = {}
     run = 0
@@ -609,12 +608,12 @@ def corpus_vocab(docs, vocab_size: int = 200):
     (ties broken on term ascending — a total deterministic order).
 
     Shuffle plan: per-batch partial token counts (pandas C groupby over
-    ONE flattened array), a groupby-sum on the term key (Ray pre-combines
-    map-side), then the top_orders pattern — per-batch partial top-V +
+    ONE flattened array), a grouped sum on the term key, then the
+    top_orders pattern — per-batch partial top-V +
     one single-partition reduce over <= V x blocks rows. Returns a small
     Dataset (term, cnt); collect with take_all only through
     :func:`vocab_coverage`, which bounds it by construction."""
-    from ray.data.aggregate import Sum
+    from .joins import group_aggregate
 
     def partial_counts(t: pa.Table) -> pa.Table:
         _, flat, _ = _flat_tokens(t["text"].to_pylist())
@@ -624,8 +623,9 @@ def corpus_vocab(docs, vocab_size: int = 200):
             "c": pa.array(vc.to_numpy().astype(np.int64)),
         })
 
-    counts = (docs.map_batches(partial_counts, batch_format="pyarrow")
-              .groupby("term").aggregate(Sum("c", alias_name="cnt")))
+    counts = group_aggregate(
+        docs.map_batches(partial_counts, batch_format="pyarrow"), "term",
+        {"cnt": ("c", "sum")})
 
     def local_top(t: pa.Table) -> pa.Table:
         return t.sort_by([("cnt", "descending"),
@@ -889,10 +889,10 @@ def bloom_bits(eval_ds, k: int = 3, m: int = _BLOOM_M,
         nz = np.nonzero(acc)[0]
         return pa.table({"pos": pa.array(nz, type=pa.int64())})
 
-    from ray.data.aggregate import Count
+    from .joins import group_aggregate
 
-    folded = (eval_ds.map_batches(feed, batch_format="pyarrow")
-              .groupby("pos").aggregate(Count(alias_name="_n")))
+    folded = group_aggregate(eval_ds.map_batches(feed, batch_format="pyarrow"),
+                             "pos", {"_n": (None, "count_all")})
     bits = np.zeros(m, dtype=bool)
     for row in folded.take_all():          # <= m rows
         bits[row["pos"]] = True
@@ -1378,6 +1378,8 @@ def bm25_topk(docs, n_query_terms: int = 3, k: int = 20):
 
     from ray.data.aggregate import Count, Sum
 
+    from .joins import group_aggregate
+
     base = docs.select_columns(["doc_id", "text"])
 
     def term_partials(t: pa.Table) -> pa.Table:
@@ -1387,8 +1389,9 @@ def bm25_topk(docs, n_query_terms: int = 3, k: int = 20):
             "term": pa.array(vc.index.to_numpy(), type=pa.string()),
             "c": pa.array(vc.to_numpy().astype(np.int64))})
 
-    tc = (base.map_batches(term_partials, batch_format="pyarrow")
-          .groupby("term").aggregate(Sum("c", alias_name="c")))
+    tc = group_aggregate(base.map_batches(term_partials,
+                                          batch_format="pyarrow"),
+                         "term", {"c": ("c", "sum")})
     qterms = [r["term"] for r in
               tc.sort(["c", "term"], descending=[True, False])
               .limit(n_query_terms).take_all()]
@@ -1920,7 +1923,7 @@ def bigram_lm_counts(docs, vocab_size: int = 200):
     Shuffle plan: per-batch dense ``np.bincount`` partials over packed
     (w1, w2) keys -> one groupby-sum on the packed int key (<= (V+2)(V+1)
     distinct keys reach the reduce) -> driver folds the bounded table."""
-    from ray.data.aggregate import Sum
+    from .joins import group_aggregate
 
     vocab = sorted(r["term"]
                    for r in corpus_vocab(docs, vocab_size).take_all())
@@ -1941,8 +1944,9 @@ def bigram_lm_counts(docs, vocab_size: int = 200):
         return pa.table({"k": pa.array(nz.astype(np.int64)),
                          "c": pa.array(key[nz].astype(np.int64))})
 
-    folded = (docs.map_batches(partials, batch_format="pyarrow")
-              .groupby("k").aggregate(Sum("c", alias_name="c")))
+    folded = group_aggregate(docs.map_batches(partials,
+                                              batch_format="pyarrow"),
+                             "k", {"c": ("c", "sum")})
     counts = np.zeros(((v1 + 1) * v1,), dtype=np.int64)
     for row in folded.take_all():            # <= (V+2)(V+1) rows
         counts[row["k"]] = row["c"]
@@ -2028,8 +2032,7 @@ def dsir_bucket_totals(ds, n_buckets: int = _DSIR_B,
     driver folds the bounded vector. Buckets come from the repo's shared
     salted md5 / hash_array family (:func:`sketch.salted_bucket`, salt
     0), so the DuckDB mirror reproduces them bit-for-bit."""
-    from ray.data.aggregate import Sum
-
+    from .joins import group_aggregate
     from .sketch import salted_bucket
 
     def partial(t: pa.Table) -> pa.Table:
@@ -2043,8 +2046,8 @@ def dsir_bucket_totals(ds, n_buckets: int = _DSIR_B,
         return pa.table({"b": pa.array(nz.astype(np.int64)),
                          "c": pa.array(acc[nz].astype(np.int64))})
 
-    folded = (ds.map_batches(partial, batch_format="pyarrow")
-              .groupby("b").aggregate(Sum("c", alias_name="c")))
+    folded = group_aggregate(ds.map_batches(partial, batch_format="pyarrow"),
+                             "b", {"c": ("c", "sum")})
     counts = np.zeros(n_buckets, dtype=np.int64)
     for row in folded.take_all():            # <= n_buckets rows
         counts[row["b"]] = row["c"]
@@ -2162,7 +2165,7 @@ def pmi_top_pairs(docs, k: int = 100, min_count: int = 5):
     materialized narrow projection."""
     from ray.data.aggregate import Sum
 
-    from .joins import hash_bucket_join
+    from .joins import group_aggregate, hash_bucket_join
 
     def uni_partial(t: pa.Table) -> pa.Table:
         _, flat, _ = _flat_tokens(t["text"].to_pylist())
@@ -2182,12 +2185,10 @@ def pmi_top_pairs(docs, k: int = 100, min_count: int = 5):
         return pa.table({"p": pa.array(ps, type=pa.string()),
                          "c": pa.array(counts.astype(np.int64))})
 
-    uc = (docs.map_batches(uni_partial, batch_format="pyarrow")
-          .groupby("term").aggregate(Sum("c", alias_name="c"))
-          .materialize())
-    bc = (docs.map_batches(bi_partial, batch_format="pyarrow")
-          .groupby("p").aggregate(Sum("c", alias_name="c"))
-          .materialize())
+    uc = group_aggregate(docs.map_batches(uni_partial, batch_format="pyarrow"),
+                         "term", {"c": ("c", "sum")}).materialize()
+    bc = group_aggregate(docs.map_batches(bi_partial, batch_format="pyarrow"),
+                         "p", {"c": ("c", "sum")}).materialize()
     n_uni = float(uc.aggregate(Sum("c", alias_name="s"))["s"])
     n_bi = float(bc.aggregate(Sum("c", alias_name="s"))["s"])
 
@@ -2306,7 +2307,8 @@ def vocab_growth(docs, n_checkpoints: int = 10):
     Returns (checkpoint, doc_id_thr, n_tokens, vocab), one row per
     checkpoint."""
     import pyarrow.compute as pc
-    from ray.data.aggregate import Min, Sum
+
+    from .joins import group_aggregate
 
     max_id = int(docs.max("doc_id"))
     K = n_checkpoints
@@ -2327,8 +2329,9 @@ def vocab_growth(docs, n_checkpoints: int = 10):
             "c": pa.array(sums),
         })
 
-    tokens = (docs.map_batches(token_partials, batch_format="pyarrow")
-              .groupby("k").aggregate(Sum("c", alias_name="n_tokens")))
+    tokens = group_aggregate(
+        docs.map_batches(token_partials, batch_format="pyarrow"), "k",
+        {"n_tokens": ("c", "sum")})
 
     def first_partials(t: pa.Table) -> pa.Table:
         ids = t["doc_id"].to_numpy(zero_copy_only=False)
@@ -2340,8 +2343,9 @@ def vocab_growth(docs, n_checkpoints: int = 10):
             "first": pa.array(g.to_numpy().astype(np.int64)),
         })
 
-    firsts = (docs.map_batches(first_partials, batch_format="pyarrow")
-              .groupby("term").aggregate(Min("first", alias_name="first")))
+    firsts = group_aggregate(
+        docs.map_batches(first_partials, batch_format="pyarrow"), "term",
+        {"first": ("first", "min")})
 
     def vocab_partials(t: pa.Table) -> pa.Table:
         f = t["first"].to_numpy(zero_copy_only=False)
@@ -2351,8 +2355,9 @@ def vocab_growth(docs, n_checkpoints: int = 10):
             "c": pa.array(cnt),
         })
 
-    vocab = (firsts.map_batches(vocab_partials, batch_format="pyarrow")
-             .groupby("k").aggregate(Sum("c", alias_name="vocab")))
+    vocab = group_aggregate(
+        firsts.map_batches(vocab_partials, batch_format="pyarrow"), "k",
+        {"vocab": ("c", "sum")})
 
     tok_by_k = {int(r["k"]): int(r["n_tokens"]) for r in tokens.take_all()}
     voc_by_k = {int(r["k"]): int(r["vocab"]) for r in vocab.take_all()}
@@ -2423,13 +2428,12 @@ def corpus_report(docs):
     mean_quality_micro) sorted by source."""
     import hashlib
 
-    from ray.data.aggregate import Sum
+    from .joins import group_aggregate
 
-    agg = (docs.map_batches(per_task(_ReportPartials),
-                            batch_format="pyarrow")
-           .groupby("source").aggregate(Sum("n", alias_name="n_docs"),
-                                        Sum("nt", alias_name="n_tokens"),
-                                        Sum("qm", alias_name="qm")))
+    agg = group_aggregate(
+        docs.map_batches(per_task(_ReportPartials), batch_format="pyarrow"),
+        "source", {"n_docs": ("n", "sum"), "n_tokens": ("nt", "sum"),
+                   "qm": ("qm", "sum")})
 
     def hashes(t: pa.Table) -> pa.Table:
         h = [hashlib.md5((x or "").encode()).hexdigest()
@@ -2447,11 +2451,11 @@ def corpus_report(docs):
             "c": pa.array(g.to_numpy()),
         })
 
-    distinct = (docs.map_batches(hashes, batch_format="pyarrow")
-                .groupby(["source", "h"]).count()
-                .map_batches(per_source, batch_format="pyarrow")
-                .groupby("source")
-                .aggregate(Sum("c", alias_name="n_distinct_texts")))
+    distinct = group_aggregate(
+        group_aggregate(docs.map_batches(hashes, batch_format="pyarrow"),
+                        ["source", "h"], {"n": (None, "count_all")})
+        .map_batches(per_source, batch_format="pyarrow"),
+        "source", {"n_distinct_texts": ("c", "sum")})
 
     a = {r["source"]: r for r in agg.take_all()}
     d = {r["source"]: int(r["n_distinct_texts"])
@@ -2507,7 +2511,7 @@ def token_budget_select(docs, budget_tokens: Optional[int] = None,
     """
     import re as _re
 
-    from ray.data.aggregate import Sum
+    from .joins import group_aggregate
 
     non_alpha = _re.compile(r"[^a-zA-Z]")
     tok_re = _re.compile(r"[^ ]+")
@@ -2550,8 +2554,9 @@ def token_budget_select(docs, budget_tokens: Optional[int] = None,
             "tok": t["n_tokens"],
         })
 
-    buckets = (scored.map_batches(bucketize, batch_format="pyarrow")
-               .groupby("b").aggregate(Sum("tok", alias_name="tok")))
+    buckets = group_aggregate(
+        scored.map_batches(bucketize, batch_format="pyarrow"), "b",
+        {"tok": ("tok", "sum")})
     rows = sorted(((int(r["b"]), int(r["tok"]))
                    for r in buckets.take_all()), reverse=True)
 
@@ -2635,7 +2640,7 @@ def length_bucket_batches(docs, batch_rows: int = 8,
     straddling id-bucket boundaries merge exactly (Sum/Sum/Max are
     associative). Token texts never shuffle; both exchanges carry a few
     ints per doc or per batch."""
-    from ray.data.aggregate import Count, Max, Sum
+    from .joins import group_aggregate
 
     def keys(t: pa.Table) -> pa.Table:
         n = pc.list_value_length(
@@ -2649,8 +2654,8 @@ def length_bucket_batches(docs, batch_rows: int = 8,
 
     keyed = docs.map_batches(keys, batch_format="pyarrow").materialize()
 
-    per_cell = keyed.groupby(["len_bucket", "__bucket"]).aggregate(
-        Count(alias_name="n")).take_all()
+    per_cell = group_aggregate(keyed, ["len_bucket", "__bucket"],
+                               {"n": (None, "count_all")}).take_all()
     per_cell.sort(key=lambda r: (r["len_bucket"], r["__bucket"]))
     offsets: Dict[tuple, int] = {}
     run_lb, run = None, 0
@@ -2681,10 +2686,10 @@ def length_bucket_batches(docs, batch_rows: int = 8,
 
     partials = keyed.groupby("__bucket").map_groups(
         assign, batch_format="pandas")
-    merged = partials.groupby(["len_bucket", "batch_id"]).aggregate(
-        Sum("n_docs", alias_name="n_docs"),
-        Max("max_tokens", alias_name="max_tokens"),
-        Sum("sum_tokens", alias_name="sum_tokens"))
+    merged = group_aggregate(partials, ["len_bucket", "batch_id"], {
+        "n_docs": ("n_docs", "sum"),
+        "max_tokens": ("max_tokens", "max"),
+        "sum_tokens": ("sum_tokens", "sum")})
 
     def finish(t: pa.Table) -> pa.Table:
         waste = pc.subtract(
@@ -2718,9 +2723,8 @@ def textrank_keywords(docs, vocab_size: int = 50, iters: int = 3):
     per-batch (src, dst, c) pair partials against the broadcast vocab
     (searchsorted, no per-token Python), one V^2-bounded groupby-sum,
     then pagerank_weighted's BSP iterations over <= V nodes."""
-    from ray.data.aggregate import Sum
-
     from .graph import pagerank_weighted
+    from .joins import group_aggregate
 
     vocab_rows = corpus_vocab(docs, vocab_size).take_all()
     terms = [r["term"] for r in vocab_rows]          # index == vid
@@ -2753,8 +2757,9 @@ def textrank_keywords(docs, vocab_size: int = 50, iters: int = 3):
             "dst": pa.array(g["dst"].to_numpy(dtype=np.int64)),
             "w": pa.array(g["w"].to_numpy(dtype=np.int64))})
 
-    edges = (docs.map_batches(edge_partials, batch_format="pyarrow")
-             .groupby(["src", "dst"]).aggregate(Sum("w", alias_name="w")))
+    edges = group_aggregate(
+        docs.map_batches(edge_partials, batch_format="pyarrow"),
+        ["src", "dst"], {"w": ("w", "sum")})
     pr = pagerank_weighted(edges, num_nodes=v, iters=iters)
 
     def name(t: pa.Table) -> pa.Table:

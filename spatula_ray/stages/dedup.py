@@ -662,7 +662,8 @@ def source_overlap(ds, k_shingle: int = 3, num_buckets: int = 64):
     ``(src_a, src_b)`` groupby-sum finishes — output is bounded by
     #sources², never corpus-sized."""
     import pandas as pd
-    from ray.data.aggregate import Sum
+
+    from .joins import group_aggregate
 
     def explode(t: pa.Table) -> pa.Table:
         shs = [_shingle_hashes(x or "", k_shingle)
@@ -695,10 +696,9 @@ def source_overlap(ds, k_shingle: int = 3, num_buckets: int = 64):
         return out.rename(columns={"source_x": "src_a",
                                    "source_y": "src_b"})
 
-    return (inv.groupby("__bucket").map_groups(pairs,
-                                               batch_format="pandas")
-            .groupby(["src_a", "src_b"])
-            .aggregate(Sum("c", alias_name="shared_shingles")))
+    return group_aggregate(
+        inv.groupby("__bucket").map_groups(pairs, batch_format="pandas"),
+        ["src_a", "src_b"], {"shared_shingles": ("c", "sum")})
 
 
 def doc_novelty(ds, k_shingle: int = 3, num_buckets: int = 64):

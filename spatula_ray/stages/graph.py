@@ -564,17 +564,14 @@ def degree_histogram(edges, num_buckets: int = 32):
         out["n_nodes"] = out["n_nodes"].astype("int64")
         return out
 
-    from ray.data.aggregate import Sum
+    from .joins import group_aggregate
 
-    # per-bucket partial histograms merge in one bounded groupby
-    # (direction x <=64 log buckets); strip the pandas-block schema
-    # metadata first or the sort-reduce logs unhashable-schema warnings
-    return (edges.map_batches(partial, batch_format="pyarrow")
-            .groupby("__bucket").map_groups(fold, batch_format="pandas")
-            .map_batches(lambda t: t.replace_schema_metadata(None),
-                         batch_format="pyarrow")
-            .groupby(["direction", "log2_deg"])
-            .aggregate(Sum("n_nodes", alias_name="n_nodes")))
+    # per-bucket partial histograms merge in one bounded grouped sum
+    # (direction x <=64 log buckets)
+    return group_aggregate(
+        edges.map_batches(partial, batch_format="pyarrow")
+        .groupby("__bucket").map_groups(fold, batch_format="pandas"),
+        ["direction", "log2_deg"], {"n_nodes": ("n_nodes", "sum")})
 
 
 def hyperball(edges, num_nodes: int, iters: int = 2, p: int = 6):
@@ -670,11 +667,11 @@ def colink_similarity(links, threshold: float = 0.2,
 
     # per-host set size via one bounded groupby, broadcast back as a
     # small dict (host cardinality is the politeness-shard domain)
-    from ray.data.aggregate import Count
+    from .joins import group_aggregate
 
     sizes = {int(r["doc_id"]): int(r["n_sh"]) for r in
-             distinct.groupby("doc_id")
-             .aggregate(Count(alias_name="n_sh")).take_all()}
+             group_aggregate(distinct, "doc_id",
+                             {"n_sh": (None, "count_all")}).take_all()}
 
     def inv_layout(t: pa.Table) -> pa.Table:
         sh = t["shingle"].to_numpy(zero_copy_only=False).astype(

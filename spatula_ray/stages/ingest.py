@@ -90,9 +90,8 @@ def dust_param_rules(pages, url_col: str = "url",
     ``pd.util.hash_array`` by default, ``md5_number_lower`` parity under
     ``oracle_parity=True`` (the gate path)."""
     import pyarrow.compute as pc
-    from ray.data.aggregate import Count
 
-    from .joins import hash_bucket_join
+    from .joins import group_aggregate, hash_bucket_join
     from .sketch import _hash64
 
     host_re = r"^[A-Za-z][A-Za-z0-9+.\-]*://(?P<h>[^/]+)"
@@ -178,17 +177,17 @@ def dust_param_rules(pages, url_col: str = "url",
 
     # observed-URL keys, deduped (param-order variants of one logical URL
     # collapse here, so each probe matches at most once)
-    bases = (tagged.map_batches(side(0), batch_format="pyarrow")
-             .groupby(["jb", "jfp", "msum", "n"])
-             .aggregate(Count(alias_name="_c"))
-             .drop_columns(["_c"]))
+    bases = group_aggregate(
+        tagged.map_batches(side(0), batch_format="pyarrow"),
+        ["jb", "jfp", "msum", "n"], {"_c": (None, "count_all")}) \
+        .drop_columns(["_c"])
     probes = tagged.map_batches(side(1), batch_format="pyarrow")
 
     matched = hash_bucket_join(probes, bases,
                                on=["jb", "jfp", "msum", "n"],
                                num_buckets=num_buckets)
-    rules = (matched.groupby(["host", "param"])
-             .aggregate(Count(alias_name="support")))
+    rules = group_aggregate(matched, ["host", "param"],
+                            {"support": (None, "count_all")})
 
     def keep(t: pa.Table) -> pa.Table:
         return t.filter(pc.greater_equal(t["support"], min_support))
@@ -688,7 +687,8 @@ def shard_manifest(out_dir: str):
     partition. One pruned read (only ``doc_id``/``text`` leave storage)
     + ONE bounded groupby(shard)."""
     import ray.data as rd
-    from ray.data.aggregate import Count, Max, Min, Sum
+
+    from .joins import group_aggregate
 
     ds = rd.read_parquet(out_dir, columns=["doc_id", "text", "shard"])
 
@@ -703,12 +703,10 @@ def shard_manifest(out_dir: str):
                 pa.int64()),
         })
 
-    return (ds.map_batches(narrow, batch_format="pyarrow")
-            .groupby("shard")
-            .aggregate(Count(alias_name="n_docs"),
-                       Min("doc_id", alias_name="min_doc"),
-                       Max("doc_id", alias_name="max_doc"),
-                       Sum("n_chars", alias_name="n_chars")))
+    return group_aggregate(
+        ds.map_batches(narrow, batch_format="pyarrow"), "shard",
+        {"n_docs": (None, "count_all"), "min_doc": ("doc_id", "min"),
+         "max_doc": ("doc_id", "max"), "n_chars": ("n_chars", "sum")})
 
 
 def rendezvous_shards(urls, n_old: int = 8, n_new: int = 9,
@@ -800,10 +798,10 @@ def crawl_budget_allocation(hosts, budget: int,
     keyed = hosts.map_batches(key_bucket, batch_format="pyarrow") \
         .materialize()
 
-    from ray.data.aggregate import Sum
+    from .joins import group_aggregate
 
-    per_bucket = keyed.groupby("__bucket").aggregate(
-        Sum(weight_col, alias_name="w")).take_all()
+    per_bucket = group_aggregate(keyed, "__bucket",
+                                 {"w": (weight_col, "sum")}).take_all()
     per_bucket.sort(key=lambda r: r["__bucket"])
     offsets = {}
     run = 0

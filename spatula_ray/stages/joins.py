@@ -3,7 +3,8 @@ align schemas, add ``__bucket = hash64(key) % B``, union, groupby(bucket),
 pandas merge per bucket. Deterministic; B and skew handling are explicit
 (salt a hot key by raising B). Used by the relational pipelines where both
 sides are large; broadcast lookup (ray.put + per-batch merge) covers the
-small-side case."""
+small-side case. The suite's keyed aggregate, :func:`group_aggregate`,
+rides the same bucket exchange."""
 
 from __future__ import annotations
 
@@ -18,20 +19,99 @@ def _bucket_of(t: pa.Table, on: List[str], num_buckets: int) -> pa.Array:
     straight through a multiply-mix; everything else through pandas'
     C-vectorized deterministic ``hash_array`` (fixed siphash key, so
     buckets agree across processes). Only co-location matters, not the
-    hash function. No per-row Python (round-2 verdict fix #6)."""
+    hash function. No per-row Python (round-2 verdict fix #6). A null
+    integer key hashes as 0, so a key's bucket does not depend on whether
+    its block holds nulls."""
     import pandas as pd
+    import pyarrow.compute as pc
 
     mixed = np.zeros(t.num_rows, dtype=np.uint64)
     for k in on:
         col = t[k].combine_chunks()
-        if pa.types.is_integer(col.type) and col.null_count == 0:
-            vals = col.to_numpy(zero_copy_only=False).astype(np.uint64)
+        if pa.types.is_integer(col.type):
+            vals = pc.fill_null(col, 0).to_numpy(
+                zero_copy_only=False).astype(np.uint64)
         else:
             vals = pd.util.hash_array(col.to_numpy(zero_copy_only=False))
         mixed = mixed * np.uint64(0x9E3779B97F4A7C15) + vals
     mixed ^= mixed >> np.uint64(33)
     mixed *= np.uint64(0xFF51AFD7ED558CCD)
     return pa.array((mixed % np.uint64(num_buckets)).astype(np.int64))
+
+
+# per aggregate: its Arrow partials, as (per-block function, combining
+# function); a mean combines as a sum and a count of values
+_AGG_PARTS = {
+    "sum": [("sum", "sum")],
+    "count": [("count", "sum")],
+    "count_all": [("count_all", "sum")],
+    "min": [("min", "min")],
+    "max": [("max", "max")],
+    "mean": [("sum", "sum"), ("count", "sum")],
+}
+
+
+def group_aggregate(ds, keys, aggs: dict):
+    """Keyed aggregate of a Dataset as two Arrow phases, the only grouped
+    aggregate path of the suite: ``aggs`` maps each output column to
+    ``(column, op)``, op one of ``sum``, ``count`` (non-null values),
+    ``count_all`` (rows; column ``None``), ``min``, ``max`` and ``mean``,
+    with SQL null semantics (sum/min/max/mean of an all-null group are
+    null, its count is 0). Null keys form one group, as in ``GROUP BY``.
+
+    Each block folds to per-key partials with ``pa.Table.group_by``, the
+    partials take a bucket from :func:`_bucket_of` over the keys (one
+    bucket per cluster CPU), one ``groupby(bucket).map_groups`` exchange
+    brings every key's partials together, and a second Arrow
+    ``group_by`` combines them. No row or group passes through Python.
+    Output rows come in no particular order: sort the result where order
+    matters. Columns: the keys, then ``aggs`` in order."""
+    import pyarrow.compute as pc
+
+    from ..config import cluster_cpus
+
+    keys = [keys] if isinstance(keys, str) else list(keys)
+    partials = []        # (source column or None, phase-1 fn, phase-2 fn)
+    for alias, (col, op) in aggs.items():
+        if op not in _AGG_PARTS:
+            raise ValueError(f"{alias}: unknown aggregate {op!r}, expected "
+                             f"one of {sorted(_AGG_PARTS)}")
+        if (col is None) != (op == "count_all"):
+            raise ValueError(f"{alias}: {op!r} takes "
+                             + ("no column" if op == "count_all"
+                                else "a column"))
+        partials += [(col, f1, f2) for f1, f2 in _AGG_PARTS[op]]
+    names = [f"__p{i}" for i in range(len(partials))]
+    num_buckets = cluster_cpus()
+
+    def grouped(t: pa.Table, specs) -> pa.Table:
+        # Arrow puts the keys first and names the rest "<col>_<fn>"
+        return t.group_by(keys, use_threads=False).aggregate(
+            [([] if c is None else c, fn) for c, fn in specs]
+        ).rename_columns(keys + names)
+
+    def partial(t: pa.Table) -> pa.Table:
+        t = grouped(t, [(c, f1) for c, f1, _ in partials])
+        return t.append_column("__group_bucket",
+                               _bucket_of(t, keys, num_buckets))
+
+    def combine(g: pa.Table) -> pa.Table:
+        g = grouped(g, [(n, f2) for n, (_, _, f2) in zip(names, partials)])
+        cols = [g[k] for k in keys]
+        i = 0
+        for _, op in aggs.values():
+            if op == "mean":
+                cols.append(pc.divide(pc.cast(g[names[i]], pa.float64()),
+                                      pc.cast(g[names[i + 1]], pa.float64())))
+                i += 2
+            else:
+                cols.append(g[names[i]])
+                i += 1
+        return pa.table(cols, names=keys + list(aggs))
+
+    return (ds.map_batches(partial, batch_format="pyarrow", batch_size=None)
+            .groupby("__group_bucket")
+            .map_groups(combine, batch_format="pyarrow"))
 
 
 def _dataset_types(ds) -> dict:
@@ -253,16 +333,14 @@ def asof_join(left, right, by: str, left_on: str, right_on: str,
 def hash_bucket_anti_join(left, right, on: List[str], num_buckets: int = 32):
     """Rows of ``left`` whose key does NOT appear in ``right`` — the
     incremental-ingest primitive (new content vs a reference snapshot).
-    Both sides large: right is first reduced to distinct keys (partial
-    pre-combine in Ray's hash aggregate), then one bucketed left join on
+    Both sides large: right is first reduced to distinct keys (the
+    two-phase :func:`group_aggregate`), then one bucketed left join on
     the key and a vectorized null filter. For a small snapshot, a
     broadcast membership set (the Decontaminate shape) avoids the shuffle
     entirely."""
-    from ray.data.aggregate import Count
-
     marker = "__present"
-    keys = right.select_columns(list(on)).groupby(list(on)).aggregate(
-        Count(alias_name=marker))
+    keys = group_aggregate(right.select_columns(list(on)), list(on),
+                           {marker: (None, "count_all")})
     joined = hash_bucket_join(left, keys, on=list(on), how="left",
                               num_buckets=num_buckets)
 

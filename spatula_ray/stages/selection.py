@@ -225,7 +225,7 @@ def table_profile(ds, columns):
     block; ONE tiny groupby (rows = columns x blocks) folds them with
     Sum/Sum/Min/Max. Nothing but the per-block partials ever moves.
     """
-    from ray.data.aggregate import Max, Min, Sum
+    from .joins import group_aggregate
 
     def partial(t: pa.Table) -> pa.Table:
         names, nr, nn, mn, mx = [], [], [], [], []
@@ -249,11 +249,8 @@ def table_profile(ds, columns):
             "max_val": pa.array(mx, type=pa.float64()),
         })
 
-    folded = (ds.select_columns(list(columns))
-              .map_batches(partial, batch_format="pyarrow")
-              .groupby("column")
-              .aggregate(Sum("n_rows", alias_name="n_rows"),
-                         Sum("n_nulls", alias_name="n_nulls"),
-                         Min("min_val", alias_name="min_val"),
-                         Max("max_val", alias_name="max_val")))
-    return folded
+    return group_aggregate(
+        ds.select_columns(list(columns))
+        .map_batches(partial, batch_format="pyarrow"), "column",
+        {"n_rows": ("n_rows", "sum"), "n_nulls": ("n_nulls", "sum"),
+         "min_val": ("min_val", "min"), "max_val": ("max_val", "max")})

@@ -96,17 +96,17 @@ def hll_distinct(ds, extract: Callable[[pa.Table], List[str]],
                  oracle_parity: bool = False) -> pa.Table:
     """Approximate distinct count of ``extract(batch)`` items across the
     dataset. The per-batch partial registers are reduced DISTRIBUTIVELY
-    (``groupby('b').max('r')`` — at most m=4096 rows reach the driver,
-    independent of block count; round-3 advisor fix: the former driver
-    fold pulled blocks x m rows). Returns a one-row table
+    (a grouped max of ``r`` per ``b`` — at most m=4096 rows reach the
+    driver, independent of block count; round-3 advisor fix: the former
+    driver fold pulled blocks x m rows). Returns a one-row table
     ``(m, v_zero, est)``."""
-    from ray.data.aggregate import Max
+    from .joins import group_aggregate
 
     def fn(t: pa.Table) -> pa.Table:
         return register_batch(extract(t), oracle_parity)
 
-    folded = (ds.map_batches(fn, batch_format="pyarrow")
-              .groupby("b").aggregate(Max("r", alias_name="r")))
+    folded = group_aggregate(ds.map_batches(fn, batch_format="pyarrow"),
+                             "b", {"r": ("r", "max")})
     reg = np.zeros(_M, dtype=np.int64)
     for row in folded.take_all():      # ≤ 4096 rows
         reg[row["b"]] = row["r"]
@@ -138,13 +138,13 @@ def hll_distinct_by(ds, key_col: str,
     Returns a Dataset of ``(key, m, v_zero, est)`` rows.
 
     Fully distributed, unlike the global fold: per-batch partial
-    registers per key -> ``groupby(key, b).max(r)`` (register rows only —
-    at most |keys| * m rows cross the wire, independent of input size) ->
-    per-key estimate. The per-key map_groups is one numpy fold over ≤ m
+    registers per key -> grouped max of ``r`` per ``(key, b)`` (register
+    rows only — at most |keys| * m rows cross the wire, independent of
+    input size) -> per-key estimate. The per-key map_groups is one numpy fold over ≤ m
     rows; the bounded-enum-key assumption (and its high-cardinality
     escape hatch, the cap_per_key bucket pattern) is the same one
     ``value_quantiles`` documents."""
-    from ray.data.aggregate import Max
+    from .joins import group_aggregate
 
     def partial(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
@@ -168,8 +168,8 @@ def hll_distinct_by(ds, key_col: str,
                          "b": pa.array(out_b, type=pa.int64()),
                          "r": pa.array(out_r, type=pa.int64())})
 
-    folded = (ds.map_batches(partial, batch_format="pyarrow")
-              .groupby([key_col, "b"]).aggregate(Max("r", alias_name="r")))
+    folded = group_aggregate(ds.map_batches(partial, batch_format="pyarrow"),
+                             [key_col, "b"], {"r": ("r", "max")})
 
     def finish(g: pa.Table) -> pa.Table:
         g = g.combine_chunks()
@@ -237,7 +237,8 @@ def cms_heavy_hitters(ds, extract: Callable[[pa.Table], List[str]], k: int = 50,
     Returns a k-row ``(term, est)`` pyarrow table, ordered by
     (est desc, term asc)."""
     import ray
-    from ray.data.aggregate import Count, Sum
+
+    from .joins import group_aggregate
 
     def partial_counters(t: pa.Table) -> pa.Table:
         terms = extract(t)
@@ -254,8 +255,9 @@ def cms_heavy_hitters(ds, extract: Callable[[pa.Table], List[str]], k: int = 50,
         return pa.table({"jb": pa.array(nz, type=pa.int64()),
                          "c": pa.array(acc[nz], type=pa.int64())})
 
-    folded = (ds.map_batches(partial_counters, batch_format="pyarrow")
-              .groupby("jb").aggregate(Sum("c", alias_name="c")))
+    folded = group_aggregate(
+        ds.map_batches(partial_counters, batch_format="pyarrow"), "jb",
+        {"c": ("c", "sum")})
     counters = np.zeros(depth * width, dtype=np.int64)
     for row in folded.take_all():        # <= depth*width rows
         counters[row["jb"]] = row["c"]
@@ -267,9 +269,9 @@ def cms_heavy_hitters(ds, extract: Callable[[pa.Table], List[str]], k: int = 50,
             np.unique(np.asarray(terms, dtype=str)) if terms else [],
             type=pa.string())})
 
-    vocab = (ds.map_batches(batch_distinct, batch_format="pyarrow")
-             .groupby("term").aggregate(Count(alias_name="_n"))
-             .select_columns(["term"]))
+    vocab = group_aggregate(
+        ds.map_batches(batch_distinct, batch_format="pyarrow"), "term",
+        {"_n": (None, "count_all")}).select_columns(["term"])
 
     def estimate_topk(t: pa.Table) -> pa.Table:
         cnt = ray.get(counters_ref)

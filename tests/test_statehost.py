@@ -5,8 +5,10 @@ placement; the processes stay warm and empty between crawls, a dead or
 abandoned one does not change the next crawl's results; gate state
 survives a checkpoint resume."""
 
+import os
 import sys
 import time
+import uuid
 
 import pytest
 
@@ -170,6 +172,41 @@ def test_failed_crawl_returns_clean_hosts():
                           batch_size=16, error_policy="raise"))
     assert _held() == [{"shards": 0, "parked": 0}] * len(idle_hosts())
     _same_crawl(_spider(3, 4, "cuckoo"), ref)
+
+
+class SlowBrokenSpiderPage(BrokenSpiderPage):
+    """Fails like :class:`BrokenSpiderPage`; every other page takes 50 ms
+    and then leaves one file in ``marks``, so a runner task that outlives
+    its crawl shows up as a new file."""
+
+    marks = ""
+
+    def process_page(self):
+        if not self.source.url.endswith("7"):
+            time.sleep(0.05)
+            open(os.path.join(self.marks, uuid.uuid4().hex), "w").close()
+        return super().process_page()
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_failed_crawl_leaves_no_runner_task(tmp_path):
+    """When a runner task raises, crawl() cancels the wave's other runner
+    tasks and waits for them before it raises: no page is processed once
+    crawl() has returned."""
+    from ray import cloudpickle
+
+    cloudpickle.register_pickle_by_value(sys.modules[__name__])
+    SlowBrokenSpiderPage.marks = str(tmp_path)
+    registry = build_registry(SpiderPage)
+    registry[SpiderPage.__name__] = SlowBrokenSpiderPage
+    with pytest.raises(Exception, match="broken page"):
+        crawl(spider_seeds(4), registry, FormulaResolverFactory(**SPEC),
+              CrawlConfig(dedup="cuckoo", n_filter_shards=3, batch_size=2,
+                          error_policy="raise"))
+    done = len(os.listdir(tmp_path))
+    time.sleep(1.5)
+    assert len(os.listdir(tmp_path)) == done
+    assert _held() == [{"shards": 0, "parked": 0}] * len(idle_hosts())
 
 
 class ChainWebFactory:
