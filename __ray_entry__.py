@@ -1513,7 +1513,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
         import numpy as np
         import pyarrow as pa
 
-        from spatula_ray.stages.joins import hash_bucket_join
+        from spatula_ray.stages.joins import (bucket_exchange,
+                                              hash_bucket_join)
         from spatula_ray.stages.selection import exact_quantiles
         from spatula_ray.stages.text import hashed_linear_score
 
@@ -1547,13 +1548,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
             ids = t["doc_id"].to_numpy(zero_copy_only=False)
             fps = [_hl.md5((x or "").encode()).hexdigest()
                    for x in t["text"].to_pylist()]
-            out = pa.table({
+            return pa.table({
                 "doc_id": pa.array(np.asarray(ids, dtype=np.int64)),
                 "fp": pa.array(fps, type=pa.string())})
-            from spatula_ray.stages.joins import _bucket_of
-
-            return out.append_column("__bucket",
-                                     _bucket_of(out, ["fp"], 32))
 
         def dup_flag(g):
             import pandas as pd
@@ -1567,9 +1564,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
                 "doc_id": g["doc_id"].to_numpy(dtype=np.int64),
                 "is_dup": (c >= 2).to_numpy()})
 
-        dup = (aug.map_batches(md5_rows, batch_format="pyarrow")
-               .groupby("__bucket")
-               .map_groups(dup_flag, batch_format="pandas"))
+        dup = bucket_exchange(aug.map_batches(md5_rows,
+                                              batch_format="pyarrow"),
+                              ["fp"], dup_flag)
         joined = hash_bucket_join(scored, dup, on=["doc_id"])
 
         def bucketize(t: pa.Table) -> pa.Table:

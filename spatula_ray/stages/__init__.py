@@ -20,8 +20,8 @@ class _EmptyPartitionSchemaFilter(logging.Filter):
     (``ArrowBlockAccessor.merge_sorted_blocks``); the executor then logs
     "Operator produced a RefBundle with a different schema than the
     previous one ... new schema: ." once for the sort and once for the
-    map after it. :func:`joins.group_aggregate`,
-    :func:`joins.hash_bucket_join` and :func:`bsp.load` have fewer keys
+    map after it. :func:`joins.bucket_exchange` (which every keyed
+    exchange of the suite rides) and :func:`bsp.load` have fewer keys
     than partitions whenever their input has more blocks than buckets.
     Only the empty new schema is dropped; a real schema change still
     logs."""

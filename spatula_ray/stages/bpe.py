@@ -222,7 +222,7 @@ def bpe_token_counts(docs, n_merges: int = 8, text_col: str = "text"):
     j = hash_bucket_join(
         docs.map_batches(doc_word_partial, batch_format="pyarrow"),
         vocab.map_batches(word_len, batch_format="pyarrow"),
-        on=["word"], num_buckets=16)
+        on=["word"])
 
     def partial_tok(t: pa.Table) -> pa.Table:
         c = t["c"].combine_chunks().to_numpy(zero_copy_only=False)

@@ -31,6 +31,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from . import per_task
+from .joins import bucket_exchange
 
 
 def _grid(arr, scale: float):
@@ -244,7 +245,7 @@ def pack_sequences(ds, budget: int = 512, bucket_span: int = 4096):
         return pa.table({
             "doc_id": t["doc_id"],
             "n_tokens": nt,
-            "__bucket": pc.divide(t["doc_id"], bucket_span),
+            "__span": pc.divide(t["doc_id"], bucket_span),
         })
 
     toks = ds.map_batches(tokens, batch_format="pyarrow").materialize()
@@ -254,32 +255,32 @@ def pack_sequences(ds, budget: int = 512, bucket_span: int = 4096):
 def pack_by_cost(costs, budget: int, cost_col: str = "cost"):
     """Cost-generic streaming sequence packing: assign each row (ordered
     by doc_id) to ``bin = exclusive_prefix_sum(cost) // budget``. Input
-    must carry (doc_id, cost_col, __bucket) — the same two-pass
+    must carry (doc_id, cost_col, __span) — the same two-pass
     distributed prefix sum :func:`pack_sequences` documents (per-bucket
     totals scanned once on the driver, vectorized per-bucket cumsum).
     The cost model is the caller's: token counts, interleaved
     text+media patch costs, byte sizes."""
     from .joins import group_aggregate
 
-    per_bucket = group_aggregate(costs, "__bucket",
+    per_bucket = group_aggregate(costs, "__span",
                                  {"tok": (cost_col, "sum")}).take_all()
-    per_bucket.sort(key=lambda r: r["__bucket"])
+    per_bucket.sort(key=lambda r: r["__span"])
     offsets: Dict[int, int] = {}
     run = 0
     for r in per_bucket:
-        offsets[r["__bucket"]] = run
+        offsets[r["__span"]] = run
         run += r["tok"]
 
     def pack(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values("doc_id", kind="mergesort")
         n = g[cost_col].to_numpy()
-        base = offsets[int(g["__bucket"].iloc[0])]
+        base = offsets[int(g["__span"].iloc[0])]
         excl = base + np.cumsum(n) - n
         return pd.DataFrame({"doc_id": g["doc_id"].to_numpy(),
                              cost_col: n,
                              "seq_bin": (excl // budget).astype(np.int64)})
 
-    return costs.groupby("__bucket").map_groups(pack, batch_format="pandas")
+    return costs.groupby("__span").map_groups(pack, batch_format="pandas")
 
 
 def pack_interleaved(docs, budget: int = 1024, media_token_cost: int = 16,
@@ -300,7 +301,7 @@ def pack_interleaved(docs, budget: int = 1024, media_token_cost: int = 16,
         return pa.table({
             "doc_id": t["doc_id"],
             "cost": pc.add(body, pa.scalar(fixed, type=pa.int64())),
-            "__bucket": pc.divide(t["doc_id"], bucket_span),
+            "__span": pc.divide(t["doc_id"], bucket_span),
         })
 
     costs = docs.map_batches(cost, batch_format="pyarrow").materialize()
@@ -462,8 +463,7 @@ def cdc_chunks(docs, divisor: int = 64, max_len: int = 128):
     return docs.map_batches(explode, batch_format="pyarrow")
 
 
-def cdc_dedup_stats(docs, divisor: int = 64, max_len: int = 128,
-                    num_buckets: int = 32):
+def cdc_dedup_stats(docs, divisor: int = 64, max_len: int = 128):
     """Chunk-level storage-dedup manifest over content-defined chunks:
     the text analogue of ``multimodal.media_asset_dedup`` — which chunks
     are shared, by how many references and documents, and which document
@@ -496,8 +496,6 @@ def cdc_dedup_stats(docs, divisor: int = 64, max_len: int = 128,
             "length": pa.array(per["length"].to_numpy().astype(np.int64)),
             "doc_id": pa.array(per["doc_id"].to_numpy().astype(np.int64)),
             "c": pa.array(per["c"].to_numpy().astype(np.int64)),
-            "__bucket": pa.array((per["chunk_hash"].to_numpy()
-                                  % num_buckets).astype(np.int32)),
         })
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
@@ -512,12 +510,12 @@ def cdc_dedup_stats(docs, divisor: int = 64, max_len: int = 128,
         out["chunk_hash"] = out["chunk_hash"].astype("uint64")
         return out
 
-    return (chunks.map_batches(partial, batch_format="pyarrow")
-            .groupby("__bucket").map_groups(fold, batch_format="pandas"))
+    return bucket_exchange(chunks.map_batches(partial, batch_format="pyarrow"),
+                           ["chunk_hash"], fold)
 
 
 def cdc_delta_bytes(corpus_docs, new_docs, divisor: int = 64,
-                    max_len: int = 128, num_buckets: int = 32):
+                    max_len: int = 128):
     """Incremental-ingest dedup accounting: for every NEW document, how
     many characters does it actually add beyond the existing corpus's
     CDC chunk index? This is the store-once economics question an
@@ -531,7 +529,7 @@ def cdc_delta_bytes(corpus_docs, new_docs, divisor: int = 64,
     TEXTS never shuffle), then ONE chunk_hash-bucket exchange folds the
     membership test per bucket, and a per-doc-bucket fold sums the
     partials. No broadcast set, no driver state — per-bucket memory is
-    O(index / num_buckets).
+    O(index / cluster CPUs).
 
     Returns ``(doc_id, total_chars, new_chars, pct_new_micro)`` with
     ``pct_new_micro = new * 1e6 // total`` (integer micro-units, the
@@ -548,7 +546,6 @@ def cdc_delta_bytes(corpus_docs, new_docs, divisor: int = 64,
             "doc_id": pa.array(np.full(n, -1, dtype=np.int64)),
             "chars": pa.array(np.zeros(n, dtype=np.int64)),
             "side": pa.array(np.zeros(n, dtype=np.int8)),
-            "__bucket": pa.array((h % num_buckets).astype(np.int32)),
         })
 
     def new_partial(t: pa.Table) -> pa.Table:
@@ -558,13 +555,12 @@ def cdc_delta_bytes(corpus_docs, new_docs, divisor: int = 64,
             "chars": t["length"].to_numpy(zero_copy_only=False)})
             .groupby(["chunk_hash", "doc_id"], sort=False)["chars"].sum()
             .reset_index())
-        h = per["chunk_hash"].to_numpy()
         return pa.table({
-            "chunk_hash": pa.array(h, type=pa.uint64()),
+            "chunk_hash": pa.array(per["chunk_hash"].to_numpy(),
+                                   type=pa.uint64()),
             "doc_id": pa.array(per["doc_id"].to_numpy().astype(np.int64)),
             "chars": pa.array(per["chars"].to_numpy().astype(np.int64)),
             "side": pa.array(np.ones(len(per), dtype=np.int8)),
-            "__bucket": pa.array((h % num_buckets).astype(np.int32)),
         })
 
     both = (corp.map_batches(corp_partial, batch_format="pyarrow")
@@ -574,14 +570,11 @@ def cdc_delta_bytes(corpus_docs, new_docs, divisor: int = 64,
         known = set(g.loc[g["side"] == 0, "chunk_hash"].to_numpy())
         nw = g[g["side"] == 1]
         novel = ~nw["chunk_hash"].isin(known)
-        per = (pd.DataFrame({
+        return (pd.DataFrame({
             "doc_id": nw["doc_id"].to_numpy(),
             "total_chars": nw["chars"].to_numpy(),
             "new_chars": np.where(novel, nw["chars"].to_numpy(), 0)})
             .groupby("doc_id", sort=False).sum().reset_index())
-        per["__dbucket"] = (per["doc_id"].to_numpy()
-                            % num_buckets).astype(np.int32)
-        return per
 
     def doc_fold(g: pd.DataFrame) -> pd.DataFrame:
         per = (g.groupby("doc_id", sort=False)[["total_chars", "new_chars"]]
@@ -595,10 +588,8 @@ def cdc_delta_bytes(corpus_docs, new_docs, divisor: int = 64,
                               // per["total_chars"].to_numpy(
                                   dtype=np.int64)).astype(np.int64)})
 
-    return (both.groupby("__bucket")
-            .map_groups(anti_fold, batch_format="pandas")
-            .groupby("__dbucket").map_groups(doc_fold,
-                                             batch_format="pandas"))
+    return bucket_exchange(bucket_exchange(both, ["chunk_hash"], anti_fold),
+                           ["doc_id"], doc_fold)
 
 
 # -- vocabulary coverage / OOV-rate scoring ------------------------------------
@@ -1067,37 +1058,32 @@ def weighted_mix_head(ds, weights: Dict[str, int], n: int,
 
 # -- per-key quotas -----------------------------------------------------------
 
-def cap_per_key(ds, key: str, n: int, order_key: str = "doc_id",
-                num_buckets: int = 32):
+def cap_per_key(ds, key: str, n: int, order_key: str = "doc_id"):
     """Keep at most ``n`` rows per key (per-domain / per-source quotas),
     chosen in deterministic hash order of ``order_key`` — quota selection
     that is stable under resume and independent of parallelism.
 
-    Two-level plan (the exact_dedup pattern): coarse-bucket rows by
-    ``hash(key) % num_buckets`` so all rows of a key co-locate, then ONE
+    Two-level plan (the exact_dedup pattern): one
+    :func:`bucket_exchange` on ``key`` co-locates all rows of a key, then ONE
     vectorized pandas rank per bucket (sort + groupby.cumcount — C
     kernels, no per-key Python ``map_groups``). The shuffle moves only
     (key, order hash, payload) rows once; skewed keys are capped at n by
     construction so no bucket output exceeds n x keys_in_bucket."""
-    from .joins import _bucket_of
-
     def tag(t: pa.Table) -> pa.Table:
         k = t[order_key].combine_chunks().to_numpy(zero_copy_only=False) \
             .astype(np.uint64)
         h = ((k % np.uint64(_SAMPLE_DOM)) * np.uint64(_SAMPLE_MULT)
              + np.uint64(_SAMPLE_ADD)) % np.uint64(_SAMPLE_MOD)
-        t = t.append_column("__h", pa.array(h.astype(np.int64)))
-        return t.append_column("__bucket", _bucket_of(t, [key], num_buckets))
+        return t.append_column("__h", pa.array(h.astype(np.int64)))
 
     def rank_and_cap(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([key, "__h", order_key], kind="mergesort")
         g["quota_rank"] = g.groupby(key, sort=False).cumcount() + 1
         g = g[g["quota_rank"] <= n]
-        return g.drop(columns=["__h", "__bucket"])
+        return g.drop(columns=["__h"])
 
-    tagged = ds.map_batches(tag, batch_format="pyarrow")
-    return tagged.groupby("__bucket").map_groups(rank_and_cap,
-                                                 batch_format="pandas")
+    return bucket_exchange(ds.map_batches(tag, batch_format="pyarrow"),
+                           [key], rank_and_cap)
 
 
 # -- fuzzy-dedup cluster assignment ------------------------------------------
@@ -1128,8 +1114,18 @@ def _cc_fold_task(t: pa.Table) -> pa.Table:
                      "label": pa.array(ids[lab], type=pa.int64())})
 
 
+def _nonempty_blocks(ds):
+    """``ds`` materialized, as a Dataset over its non-empty blocks only.
+    A sort exchange returns one block per input block, and all but at
+    most one per bucket are empty."""
+    import ray.data as rd
+
+    return rd.from_arrow_refs(
+        [ref for bundle in ds.materialize().iter_internal_ref_bundles()
+         for ref, meta in bundle.blocks if meta.num_rows])
+
+
 def connected_components(nodes, pairs, max_iters: int = 12,
-                         num_buckets: int = 32,
                          single_task_edges: int = 2_000_000):
     """Label every node with the minimum node id reachable through the
     pair graph (hash-min label propagation) — the canonical fuzzy-dedup
@@ -1148,12 +1144,12 @@ def connected_components(nodes, pairs, max_iters: int = 12,
     every iteration, paying O(corpus) shuffles x diameter; this pays
     O(pairs) x diameter + O(corpus) x 1.
 
-    Per iteration: ONE bucketed map_groups fuses the edge x label hash
-    join with a per-bucket partial min over the propagation target (edges
-    are bucketed by the neighbor end ONCE, outside the loop; only the
-    label table — sized by active nodes — reshuffles), then a second
-    bucketed min co-locates by target and folds the node's own previous
-    label back in (``min(self, neighbors)``). Both shuffles move
+    Per iteration: ONE node-keyed :func:`bucket_exchange` fuses the edge
+    x label hash join with a per-bucket partial min over the propagation
+    target (edges are materialized keyed by the neighbor end ONCE,
+    outside the loop), then a second exchange co-locates by target and
+    folds the node's own previous label back in
+    (``min(self, neighbors)``). Both shuffles move
     edge-/active-sized data; there is no global sort and no full-corpus
     groupby inside the loop. The loop stops when the label sum stops
     falling (near-dup clusters are near-cliques, so 2-3 iterations in
@@ -1169,27 +1165,23 @@ def connected_components(nodes, pairs, max_iters: int = 12,
     threshold."""
     from ray.data.aggregate import Sum
 
-    from .joins import _bucket_of, hash_bucket_join
-
-    def _with_bucket(t: pa.Table) -> pa.Table:
-        return t.append_column("__bucket", _bucket_of(t, ["node"],
-                                                      num_buckets))
+    from .joins import hash_bucket_join
 
     def both_dirs(t: pa.Table) -> pa.Table:
         a = t["a"].combine_chunks().cast(pa.int64())
         b = t["b"].combine_chunks().cast(pa.int64())
-        return _with_bucket(pa.table({
+        return pa.table({
             "x": pa.concat_arrays([a, b]),
             "node": pa.concat_arrays([b, a]),
-            "label": pa.nulls(2 * len(a), type=pa.int64())}))
+            "label": pa.nulls(2 * len(a), type=pa.int64())})
 
     pairs_m = pairs.materialize()
     n_edges = pairs_m.count()
 
     def _label_rows(t: pa.Table) -> pa.Table:
         nulls = pa.nulls(t.num_rows, type=pa.int64())
-        return _with_bucket(pa.table({"x": nulls, "node": t["node"],
-                                      "label": t["label"]}))
+        return pa.table({"x": nulls, "node": t["node"],
+                         "label": t["label"]})
 
     def seed(g: pa.Table) -> pa.Table:
         # exact distinct endpoints per node-bucket -> initial label = self
@@ -1217,40 +1209,35 @@ def connected_components(nodes, pairs, max_iters: int = 12,
                   .map_batches(_cc_fold_task, batch_format="pyarrow",
                                batch_size=None)
                   .materialize())
-        full = hash_bucket_join(nodes, labels, on=["node"], how="left",
-                                num_buckets=num_buckets)
+        full = hash_bucket_join(nodes, labels, on=["node"], how="left")
     elif n_edges:
-        # Bucketed by neighbor end ONCE; reused (materialized) every
-        # iteration. Block counts are pinned to ``num_buckets`` here and at
-        # every materialize inside the loop: Ray's sort-based groupby sizes
-        # its shuffle by INPUT block count, and the per-iteration unions
-        # would otherwise compound blocks geometrically (measured 147 ->
-        # 441 -> 1029 -> 2205 blocks with materialize cost 40 s -> 101 s ->
+        # Both edge directions, materialized ONCE and reused every
+        # iteration. The label table keeps only its non-empty blocks (at
+        # most one per bucket): Ray's sort-based groupby sizes its shuffle
+        # by INPUT block count, and the per-iteration unions would
+        # otherwise compound blocks geometrically (measured 147 -> 441 ->
+        # 1029 -> 2205 blocks with materialize cost 40 s -> 101 s ->
         # 1115 s on 12k edge rows) — the loop must stay flat-cost per
         # iteration.
-        edges = (pairs_m.map_batches(both_dirs, batch_format="pyarrow")
-                 .repartition(num_buckets).materialize())
-        labels = (edges.groupby("__bucket")
-                  .map_groups(seed, batch_format="pyarrow").materialize())
+        edges = pairs_m.map_batches(both_dirs,
+                                    batch_format="pyarrow").materialize()
+        labels = _nonempty_blocks(
+            bucket_exchange(edges, ["node"], seed, batch_format="pyarrow"))
         prev_sum: Optional[int] = None
         for _ in range(max_iters):
-            nbr_min = (edges.union(labels.map_batches(
-                           _label_rows, batch_format="pyarrow"))
-                       .groupby("__bucket")
-                       .map_groups(prop, batch_format="pyarrow"))
-            labels = (nbr_min.union(labels)
-                      .map_batches(_with_bucket, batch_format="pyarrow")
-                      .groupby("__bucket")
-                      .map_groups(fold_min, batch_format="pyarrow")
-                      .repartition(num_buckets)
-                      .materialize())
+            nbr_min = bucket_exchange(
+                edges.union(labels.map_batches(_label_rows,
+                                               batch_format="pyarrow")),
+                ["node"], prop, batch_format="pyarrow")
+            labels = _nonempty_blocks(
+                bucket_exchange(nbr_min.union(labels), ["node"], fold_min,
+                                batch_format="pyarrow"))
             cur = labels.aggregate(Sum("label", alias_name="s"))["s"]
             if prev_sum is not None and cur == prev_sum:
                 break
             prev_sum = cur
         # singletons rejoin once: left join + coalesce(label, node)
-        full = hash_bucket_join(nodes, labels, on=["node"], how="left",
-                                num_buckets=num_buckets)
+        full = hash_bucket_join(nodes, labels, on=["node"], how="left")
     else:
         full = nodes.map_batches(
             lambda t: t.append_column(
@@ -1284,8 +1271,6 @@ def tfidf_top_terms(docs, n_docs: int, k: int = 10):
     and a per-bucket pandas kernel finishes tf, df and the score. The
     token-scale exploded table never exists as a dataset; only
     per-block-distinct (lang, term) partials cross the exchange."""
-    from .joins import _bucket_of
-
     _DF = "\x00df"    # sentinel lang tag for df-partial rows
 
     def partials(t: pa.Table) -> pa.Table:
@@ -1310,7 +1295,7 @@ def tfidf_top_terms(docs, n_docs: int, k: int = 10):
             "term": pa.array(both["term"].to_numpy(), type=pa.string()),
             "c": pa.array(both["c"].to_numpy().astype(np.int64)),
         })
-        return out.append_column("__bucket", _bucket_of(out, ["term"], 16))
+        return out
 
     dt = docs.map_batches(partials, batch_format="pyarrow")
 
@@ -1327,7 +1312,7 @@ def tfidf_top_terms(docs, n_docs: int, k: int = 10):
                              "tf": tfv, "df": dfv.astype(np.int64),
                              "score": s})
 
-    scored = dt.groupby("__bucket").map_groups(finish, batch_format="pandas")
+    scored = bucket_exchange(dt, ["term"], finish)
 
     def local_topk(t: pa.Table) -> pa.Table:
         g = t.to_pandas()
@@ -1443,7 +1428,7 @@ def bm25_topk(docs, n_query_terms: int = 3, k: int = 20):
     return res.sort(["score", "doc_id"], descending=[True, False]).limit(k)
 
 
-def unigram_entropy(docs, num_buckets: int = 16):
+def unigram_entropy(docs):
     """Per-language unigram (token) entropy in nats on the 1e-6
     micro-grid — the corpus-diversity diagnostic a data-mixing pass
     tracks per source/language (low entropy = templated/repetitive
@@ -1467,8 +1452,6 @@ def unigram_entropy(docs, num_buckets: int = 16):
     terms, only counters."""
     import math
 
-    from .joins import _bucket_of
-
     def partials(t: pa.Table) -> pa.Table:
         texts = t["text"].to_pylist()
         idx, flat, _ = _flat_tokens(texts)
@@ -1480,8 +1463,7 @@ def unigram_entropy(docs, num_buckets: int = 16):
             "lang": pa.array(per["lang"].to_numpy(), type=pa.string()),
             "term": pa.array(per["term"].to_numpy(), type=pa.string()),
             "c": pa.array(per["c"].to_numpy().astype(np.int64))})
-        return out.append_column(
-            "__bucket", _bucket_of(out, ["term"], num_buckets))
+        return out
 
     bt = docs.select_columns(["lang", "text"]).map_batches(
         partials, batch_format="pyarrow")
@@ -1504,8 +1486,8 @@ def unigram_entropy(docs, num_buckets: int = 16):
                          int(lo.sum())))
         return pd.DataFrame(rows, columns=["lang", "n", "s_hi", "s_lo"])
 
-    parts = (bt.groupby("__bucket").map_groups(fold, batch_format="pandas")
-             .take_all())   # #buckets x #langs counter rows only
+    parts = bucket_exchange(bt, ["term"], fold) \
+        .take_all()   # #buckets x #langs counter rows only
     agg = {}
     for r in parts:
         n, shi, slo = agg.get(r["lang"], (0, 0, 0))
@@ -1524,12 +1506,10 @@ def unigram_entropy(docs, num_buckets: int = 16):
 # -- paragraph-level exact dedup ---------------------------------------------
 
 
-def _explode_units(t, sep: str, shift, num_buckets: int):
-    """Vectorized doc -> (doc_id, pos, p, ord, __bucket-by-p) explosion:
-    one ``split_pattern`` + offset math per batch, empty units dropped,
+def _explode_units(t, sep: str, shift):
+    """Vectorized doc -> (doc_id, pos, p, ord) explosion: one
+    ``split_pattern`` + offset math per batch, empty units dropped,
     1-based positions (SQL ``unnest WITH ORDINALITY`` parity)."""
-    from .joins import _bucket_of
-
     t = t.combine_chunks()
     lst = pc.split_pattern(t["text"].combine_chunks(), pattern=sep)
     offs = lst.offsets.to_numpy()
@@ -1544,7 +1524,7 @@ def _explode_units(t, sep: str, shift, num_buckets: int):
         "p": flat,
         "ord": pa.array(ids * shift + pos),
     }).filter(pc.not_equal(flat, ""))
-    return out.append_column("__bucket", _bucket_of(out, ["p"], num_buckets))
+    return out
 
 
 def _rebuild_docs(g, sep: str, out_col: str):
@@ -1579,7 +1559,7 @@ def _unit_counts(t, sep: str, out_col: str):
     })
 
 
-def dedup_paragraphs(docs, num_buckets: int = 32, pos_bits: int = 20):
+def dedup_paragraphs(docs, pos_bits: int = 20):
     """Corpus-level exact paragraph dedup — the CCNet / RefinedWeb
     boilerplate-removal pass: split each document on newline, keep only
     the globally FIRST occurrence of every distinct non-empty paragraph
@@ -1591,11 +1571,11 @@ def dedup_paragraphs(docs, num_buckets: int = 32, pos_bits: int = 20):
     and ``clean_text`` is ``''`` when every paragraph was dropped.
 
     Shuffle plan — both all-to-alls move paragraph rows, never whole
-    documents: (1) groupby paragraph-hash bucket, vectorized per-bucket
+    documents: (1) bucket exchange on the paragraph, vectorized per-bucket
     keep-first (arrow ``group_by`` min over the packed order key
     ``doc_id * 2**pos_bits + pos``, inner-joined back to the bucket's
     rows — the global min for a paragraph lands in one bucket because
-    the bucket key IS the paragraph); (2) groupby doc-hash bucket,
+    the bucket key IS the paragraph); (2) bucket exchange on doc_id,
     vectorized reassembly (per-bucket sort + segment offsets +
     ``binary_join``, no per-doc Python). Doc metadata ``(doc_id,
     n_paras)`` is a second cheap scan of the input projection (pass a
@@ -1606,12 +1586,12 @@ def dedup_paragraphs(docs, num_buckets: int = 32, pos_bits: int = 20):
     document (the packed int64 order key); raise ``pos_bits`` for
     pathological inputs. Mirrors ``__ray_entry__.oracle_sql``'s
     ``dedup_paragraphs`` entry token for token."""
-    from .joins import _bucket_of, hash_bucket_join
+    from .joins import hash_bucket_join
 
     shift = np.int64(1) << pos_bits
 
     def explode(t: pa.Table) -> pa.Table:
-        return _explode_units(t, "\n", shift, num_buckets)
+        return _explode_units(t, "\n", shift)
 
     def keep_first(g: pa.Table) -> pa.Table:
         g = g.combine_chunks()
@@ -1621,26 +1601,19 @@ def dedup_paragraphs(docs, num_buckets: int = 32, pos_bits: int = 20):
         j = j.filter(pc.equal(j["ord"], j["ord_min"]))
         return j.select(["doc_id", "pos", "p"])
 
-    def rebucket_doc(t: pa.Table) -> pa.Table:
-        return t.append_column("__bucket",
-                               _bucket_of(t, ["doc_id"], num_buckets))
-
     def rebuild(g: pa.Table) -> pa.Table:
         return _rebuild_docs(g, "\n", "clean_text")
 
-    kept = (docs.map_batches(explode, batch_format="pyarrow")
-            .groupby("__bucket").map_groups(keep_first,
-                                            batch_format="pyarrow"))
-    rebuilt = (kept.map_batches(rebucket_doc, batch_format="pyarrow")
-               .groupby("__bucket").map_groups(rebuild,
-                                               batch_format="pyarrow"))
+    kept = bucket_exchange(docs.map_batches(explode, batch_format="pyarrow"),
+                           ["p"], keep_first, batch_format="pyarrow")
+    rebuilt = bucket_exchange(kept, ["doc_id"], rebuild,
+                              batch_format="pyarrow")
 
     def meta(t: pa.Table) -> pa.Table:
         return _unit_counts(t, "\n", "n_paras")
 
     joined = hash_bucket_join(docs.map_batches(meta, batch_format="pyarrow"),
-                              rebuilt, on=["doc_id"], how="left",
-                              num_buckets=num_buckets)
+                              rebuilt, on=["doc_id"], how="left")
 
     def finish(t: pa.Table) -> pa.Table:
         t = t.combine_chunks()
@@ -1655,7 +1628,7 @@ def dedup_paragraphs(docs, num_buckets: int = 32, pos_bits: int = 20):
 
 
 def strip_frequent_units(docs, sep: str = "\n", max_df_permille: int = 500,
-                         num_buckets: int = 32, pos_bits: int = 20):
+                         pos_bits: int = 20):
     """Document-frequency boilerplate scrub — the OTHER CCNet/RefinedWeb
     line filter (:func:`dedup_paragraphs` keeps the globally-first copy;
     this removes EVERY occurrence of units that are too common): split
@@ -1669,10 +1642,10 @@ def strip_frequent_units(docs, sep: str = "\n", max_df_permille: int = 500,
     n_kept)``; ``clean_text`` is ``''`` when everything was dropped.
 
     Shuffle plan — all-to-alls move unit rows only, never whole docs:
-    (1) groupby unit-hash bucket; per bucket one arrow ``group_by(p)``
+    (1) bucket exchange on the unit; per bucket one arrow ``group_by(p)``
     with ``count_distinct(doc_id)`` gives exact df (all rows of a unit
     land in one bucket because the bucket key IS the unit), inner-join
-    back, keep infrequent rows; (2) groupby doc-hash bucket, vectorized
+    back, keep infrequent rows; (2) bucket exchange on doc_id, vectorized
     reassembly. ``n_docs`` is one metadata count. The frequent set never
     materializes anywhere — it exists only as a per-bucket join, so a
     pathological corpus where HALF the distinct units are frequent costs
@@ -1681,13 +1654,13 @@ def strip_frequent_units(docs, sep: str = "\n", max_df_permille: int = 500,
 
     Partitioning assumption: fewer than ``2**pos_bits`` units per doc
     (packed order key, as in :func:`dedup_paragraphs`)."""
-    from .joins import _bucket_of, hash_bucket_join
+    from .joins import hash_bucket_join
 
     shift = np.int64(1) << pos_bits
     n_docs = docs.count()
 
     def explode(t: pa.Table) -> pa.Table:
-        return _explode_units(t, sep, shift, num_buckets)
+        return _explode_units(t, sep, shift)
 
     def keep_rare(g: pa.Table) -> pa.Table:
         g = g.combine_chunks()
@@ -1699,26 +1672,19 @@ def strip_frequent_units(docs, sep: str = "\n", max_df_permille: int = 500,
                        pa.scalar(max_df_permille * n_docs, type=pa.int64()))
         return j.filter(keep).select(["doc_id", "pos", "p"])
 
-    def rebucket_doc(t: pa.Table) -> pa.Table:
-        return t.append_column("__bucket",
-                               _bucket_of(t, ["doc_id"], num_buckets))
-
     def rebuild(g: pa.Table) -> pa.Table:
         return _rebuild_docs(g, sep, "clean_text")
 
-    kept = (docs.map_batches(explode, batch_format="pyarrow")
-            .groupby("__bucket").map_groups(keep_rare,
-                                            batch_format="pyarrow"))
-    rebuilt = (kept.map_batches(rebucket_doc, batch_format="pyarrow")
-               .groupby("__bucket").map_groups(rebuild,
-                                               batch_format="pyarrow"))
+    kept = bucket_exchange(docs.map_batches(explode, batch_format="pyarrow"),
+                           ["p"], keep_rare, batch_format="pyarrow")
+    rebuilt = bucket_exchange(kept, ["doc_id"], rebuild,
+                              batch_format="pyarrow")
 
     def meta(t: pa.Table) -> pa.Table:
         return _unit_counts(t, sep, "n_units")
 
     joined = hash_bucket_join(docs.map_batches(meta, batch_format="pyarrow"),
-                              rebuilt, on=["doc_id"], how="left",
-                              num_buckets=num_buckets)
+                              rebuilt, on=["doc_id"], how="left")
 
     def finish(t: pa.Table) -> pa.Table:
         t = t.combine_chunks()
@@ -1736,14 +1702,12 @@ def strip_frequent_units(docs, sep: str = "\n", max_df_permille: int = 500,
 # -- cross-document exact substring-span removal -------------------------------
 
 
-def _explode_grams(t, L: int, num_buckets: int):
+def _explode_grams(t, L: int):
     """Vectorized doc -> (gram, doc_id, pos) explosion over every L-token
     window (1-based pos, single-space join — the repo-wide
     ``string_split(text, ' ')`` SQL-parity convention). The join of L
     space-free tokens is bijective with the token tuple, so the gram
     string IS the window identity."""
-    from .joins import _bucket_of
-
     t = t.combine_chunks()
     lst = pc.split_pattern(t["text"].combine_chunks(), pattern=" ")
     offs = lst.offsets.to_numpy()
@@ -1756,8 +1720,7 @@ def _explode_grams(t, L: int, num_buckets: int):
         "pos": pa.array([], type=pa.int64()),
     })
     if head <= 0:
-        return empty.append_column(
-            "__bucket", pa.array([], type=pa.int64()))
+        return empty
     flat = lst.flatten().to_numpy(zero_copy_only=False)
     ids = np.repeat(t["doc_id"].to_numpy(), lens)
     pos0 = np.arange(total, dtype=np.int64) - np.repeat(offs[:-1], lens)
@@ -1769,18 +1732,15 @@ def _explode_grams(t, L: int, num_buckets: int):
     gram = gram + flat[L - 1:L - 1 + head]
     valid = (np.repeat(lens, lens)[:head] - pos0[:head]) >= L
     if not valid.any():
-        return empty.append_column(
-            "__bucket", pa.array([], type=pa.int64()))
-    out = pa.table({
+        return empty
+    return pa.table({
         "gram": pa.array(gram[valid], type=pa.string()),
         "doc_id": pa.array(ids[:head][valid]),
         "pos": pa.array(pos0[:head][valid] + 1),
     })
-    return out.append_column("__bucket",
-                             _bucket_of(out, ["gram"], num_buckets))
 
 
-def dedup_spans(docs, L: int = 5, num_buckets: int = 32):
+def dedup_spans(docs, L: int = 5):
     """Cross-document exact substring dedup (the Lee et al. 2022
     "Deduplicating Training Data Makes Language Models Better" span
     rule, at token granularity): any L-token window whose exact text
@@ -1792,11 +1752,11 @@ def dedup_spans(docs, L: int = 5, num_buckets: int = 32):
     n_kept)``; ``clean_text`` is ``''`` when every token was covered.
 
     Shuffle plan — all-to-alls move gram/token rows, never whole docs:
-    (1) groupby gram-hash bucket; per bucket one arrow ``group_by(gram)
+    (1) bucket exchange on the gram; per bucket one arrow ``group_by(gram)
     min(doc_id)`` + inner join back marks loser occurrences (a gram's
     global min lands in one bucket because the bucket key IS the gram);
     (2) losers expand to their L covered positions (numpy repeat/tile)
-    and union with the token explosion, groupby doc-hash bucket; per
+    and union with the token explosion, bucket exchange on doc_id; per
     bucket a packed-key ``isin`` drops covered tokens and the standard
     segment reassembly (:func:`_rebuild_docs`) emits clean docs. Doc
     metadata rides a third cheap scan, bucket-left-joined so fully
@@ -1808,13 +1768,13 @@ def dedup_spans(docs, L: int = 5, num_buckets: int = 32):
     column in ``_explode_grams``); the string key is the SQL-parity
     form. Mirrors ``__ray_entry__.oracle_sql``'s ``dedup_spans`` entry
     token for token."""
-    from .joins import _bucket_of, hash_bucket_join
+    from .joins import hash_bucket_join
 
     if L < 2:
         raise ValueError("dedup_spans needs L >= 2")
 
     def explode(t: pa.Table) -> pa.Table:
-        return _explode_grams(t, L, num_buckets)
+        return _explode_grams(t, L)
 
     def find_losers(g: pa.Table) -> pa.Table:
         g = g.combine_chunks()
@@ -1827,15 +1787,13 @@ def dedup_spans(docs, L: int = 5, num_buckets: int = 32):
     def cover(t: pa.Table) -> pa.Table:
         t = t.combine_chunks()
         n = t.num_rows
-        out = pa.table({
+        return pa.table({
             "doc_id": pa.array(np.repeat(t["doc_id"].to_numpy(), L)),
             "pos": pa.array(np.repeat(t["pos"].to_numpy(), L)
                             + np.tile(np.arange(L, dtype=np.int64), n)),
             "p": pa.array([""] * (n * L), type=pa.string()),
             "is_cov": pa.array(np.ones(n * L, dtype=np.int8)),
         })
-        return out.append_column("__bucket",
-                                 _bucket_of(out, ["doc_id"], num_buckets))
 
     def explode_tokens(t: pa.Table) -> pa.Table:
         t = t.combine_chunks()
@@ -1843,19 +1801,16 @@ def dedup_spans(docs, L: int = 5, num_buckets: int = 32):
         offs = lst.offsets.to_numpy()
         lens = np.diff(offs)
         total = int(offs[-1])
-        out = pa.table({
+        return pa.table({
             "doc_id": pa.array(np.repeat(t["doc_id"].to_numpy(), lens)),
             "pos": pa.array(np.arange(total, dtype=np.int64)
                             - np.repeat(offs[:-1], lens) + 1),
             "p": lst.flatten(),
             "is_cov": pa.array(np.zeros(total, dtype=np.int8)),
         })
-        return out.append_column("__bucket",
-                                 _bucket_of(out, ["doc_id"], num_buckets))
 
-    losers = (docs.map_batches(explode, batch_format="pyarrow")
-              .groupby("__bucket").map_groups(find_losers,
-                                              batch_format="pyarrow"))
+    losers = bucket_exchange(docs.map_batches(explode, batch_format="pyarrow"),
+                             ["gram"], find_losers, batch_format="pyarrow")
     covered = losers.map_batches(cover, batch_format="pyarrow")
     tokens = docs.map_batches(explode_tokens, batch_format="pyarrow")
 
@@ -1875,9 +1830,8 @@ def dedup_spans(docs, L: int = 5, num_buckets: int = 32):
             })
         return _rebuild_docs(kept, " ", "clean_text")
 
-    rebuilt = (tokens.union(covered)
-               .groupby("__bucket").map_groups(rebuild,
-                                               batch_format="pyarrow"))
+    rebuilt = bucket_exchange(tokens.union(covered), ["doc_id"], rebuild,
+                              batch_format="pyarrow")
 
     def meta(t: pa.Table) -> pa.Table:
         t = t.combine_chunks()
@@ -1889,8 +1843,7 @@ def dedup_spans(docs, L: int = 5, num_buckets: int = 32):
         })
 
     joined = hash_bucket_join(docs.map_batches(meta, batch_format="pyarrow"),
-                              rebuilt, on=["doc_id"], how="left",
-                              num_buckets=num_buckets)
+                              rebuilt, on=["doc_id"], how="left")
 
     def finish(t: pa.Table) -> pa.Table:
         t = t.combine_chunks()
@@ -2207,10 +2160,10 @@ def pmi_top_pairs(docs, k: int = 100, min_count: int = 5):
     j = hash_bucket_join(
         bc.map_batches(split_pair, batch_format="pyarrow"),
         uc.map_batches(rename_uni("w1"), batch_format="pyarrow"),
-        on=["w1"], num_buckets=16)
+        on=["w1"])
     j = hash_bucket_join(
         j, uc.map_batches(rename_uni("w2"), batch_format="pyarrow"),
-        on=["w2"], num_buckets=16)
+        on=["w2"])
 
     def score_top(t: pa.Table) -> pa.Table:
         t = t.combine_chunks()
@@ -2649,25 +2602,25 @@ def length_bucket_batches(docs, batch_rows: int = 8,
             "doc_id": t["doc_id"],
             "n_tokens": n,
             "len_bucket": pc.divide(n, len_bucket_width),
-            "__bucket": pc.divide(t["doc_id"], bucket_span),
+            "__span": pc.divide(t["doc_id"], bucket_span),
         })
 
     keyed = docs.map_batches(keys, batch_format="pyarrow").materialize()
 
-    per_cell = group_aggregate(keyed, ["len_bucket", "__bucket"],
+    per_cell = group_aggregate(keyed, ["len_bucket", "__span"],
                                {"n": (None, "count_all")}).take_all()
-    per_cell.sort(key=lambda r: (r["len_bucket"], r["__bucket"]))
+    per_cell.sort(key=lambda r: (r["len_bucket"], r["__span"]))
     offsets: Dict[tuple, int] = {}
     run_lb, run = None, 0
     for r in per_cell:
         if r["len_bucket"] != run_lb:
             run_lb, run = r["len_bucket"], 0
-        offsets[(r["len_bucket"], r["__bucket"])] = run
+        offsets[(r["len_bucket"], r["__span"])] = run
         run += r["n"]
 
     def assign(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["len_bucket", "doc_id"], kind="mergesort")
-        ib = int(g["__bucket"].iloc[0])
+        ib = int(g["__span"].iloc[0])
         seq_local = g.groupby("len_bucket").cumcount().to_numpy()
         base = np.fromiter(
             (offsets[(int(lb), ib)] for lb in g["len_bucket"]),
@@ -2684,7 +2637,7 @@ def length_bucket_batches(docs, batch_rows: int = 8,
             sum_tokens=("n_tokens", "sum")).reset_index()
         return agg.astype(np.int64)
 
-    partials = keyed.groupby("__bucket").map_groups(
+    partials = keyed.groupby("__span").map_groups(
         assign, batch_format="pandas")
     merged = group_aggregate(partials, ["len_bucket", "batch_id"], {
         "n_docs": ("n_docs", "sum"),

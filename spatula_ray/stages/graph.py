@@ -44,6 +44,7 @@ import numpy as np
 import pyarrow as pa
 
 from . import bsp
+from .joins import bucket_exchange, group_aggregate, hash_bucket_join
 
 SCALE = 10**9
 
@@ -154,7 +155,7 @@ def resolve_redirects(edges, hop_cap: int = 8):
                            bsp.exchange(shards, "exists", asked))
 
 
-def anchor_topk(links, k: int = 3, num_buckets: int = 32):
+def anchor_topk(links, k: int = 3):
     """Inbound anchor-text aggregation — the classic web-search /
     web-corpus signal (Brin & Page '98 §2.2; anchor text often describes
     a target better than the target's own body, and is the standard
@@ -170,15 +171,13 @@ def anchor_topk(links, k: int = 3, num_buckets: int = 32):
     Scale shape: per-batch Arrow ``group_by`` pre-combines duplicate
     (dst, anchor) pairs BEFORE anything moves (a nav template linking
     "home" a million times collapses to one partial per block), then
-    ONE hash(dst)-bucket exchange of ``(dst, anchor, c)`` partial rows
+    ONE dst-keyed bucket exchange of ``(dst, anchor, c)`` partial rows
     and a per-bucket C-path pandas fold + rank filter. Anchors shuffle
     once as block-distinct narrow strings; src URLs never move. A hot
     dst (everyone links the front page) costs a hot reduce key bounded
     by its distinct-anchor vocabulary, not its in-degree."""
     import pandas as pd
     import pyarrow.compute as pc
-
-    from .joins import _bucket_of
 
     def partial(t: pa.Table) -> pa.Table:
         # drop null anchors up front: a null group's count('anchor') is
@@ -187,11 +186,9 @@ def anchor_topk(links, k: int = 3, num_buckets: int = 32):
         g = (pa.table({"dst_url": t["dst_url"], "anchor": t["anchor"]})
              .group_by(["dst_url", "anchor"])
              .aggregate([("anchor", "count")]))
-        out = pa.table({"dst_url": g["dst_url"], "anchor": g["anchor"],
-                        "c": pa.array(g["anchor_count"].to_numpy(
-                            zero_copy_only=False).astype(np.int64))})
-        return out.append_column(
-            "__bucket", _bucket_of(out, ["dst_url"], num_buckets))
+        return pa.table({"dst_url": g["dst_url"], "anchor": g["anchor"],
+                         "c": pa.array(g["anchor_count"].to_numpy(
+                             zero_copy_only=False).astype(np.int64))})
 
     def fold(df: pd.DataFrame) -> pd.DataFrame:
         if len(df) == 0:
@@ -211,11 +208,11 @@ def anchor_topk(links, k: int = 3, num_buckets: int = 32):
         out["rank"] = out["rank"].astype("int64")
         return out
 
-    return (links.map_batches(partial, batch_format="pyarrow")
-            .groupby("__bucket").map_groups(fold, batch_format="pandas"))
+    return bucket_exchange(links.map_batches(partial, batch_format="pyarrow"),
+                           ["dst_url"], fold)
 
 
-def host_link_graph(links, num_buckets: int = 32):
+def host_link_graph(links):
     """Host-level link-graph compression — the first step of every
     web-graph pipeline (WebGraph/Common Crawl host graphs): collapse
     page-level ``(src_url, dst_url)`` edges to one row per ordered host
@@ -229,14 +226,12 @@ def host_link_graph(links, num_buckets: int = 32):
     are dropped (relative/junk links). Scale shape: per-batch Arrow
     ``group_by`` pre-reduces to block-distinct ``(src_host, dst_host,
     src_url, c)`` partials (so a page's repeated links collapse
-    locally), ONE hash(src_host, dst_host)-bucket exchange, and a
+    locally), ONE (src_host, dst_host)-keyed bucket exchange, and a
     per-bucket fold computing the sum and the exact distinct-src count.
     Bodies/anchors never move; the only strings that shuffle are hosts
     and block-distinct src URLs."""
     import pandas as pd
     import pyarrow.compute as pc
-
-    from .joins import _bucket_of
 
     host_re = r"^[A-Za-z][A-Za-z0-9+.\-]*://([^/?#]+)"
 
@@ -255,14 +250,11 @@ def host_link_graph(links, num_buckets: int = 32):
                          "src_url": src}).filter(keep)
         g = (base.group_by(["src_host", "dst_host", "src_url"])
              .aggregate([("src_url", "count")]))
-        out = pa.table({
+        return pa.table({
             "src_host": g["src_host"], "dst_host": g["dst_host"],
             "src_url": g["src_url"],
             "c": pa.array(g["src_url_count"].to_numpy(
                 zero_copy_only=False).astype(np.int64))})
-        return out.append_column(
-            "__bucket", _bucket_of(out, ["src_host", "dst_host"],
-                                   num_buckets))
 
     def fold(df: pd.DataFrame) -> pd.DataFrame:
         if len(df) == 0:
@@ -279,11 +271,11 @@ def host_link_graph(links, num_buckets: int = 32):
         out["n_src_pages"] = out["n_src_pages"].astype("int64")
         return out
 
-    return (links.map_batches(partial, batch_format="pyarrow")
-            .groupby("__bucket").map_groups(fold, batch_format="pandas"))
+    return bucket_exchange(links.map_batches(partial, batch_format="pyarrow"),
+                           ["src_host", "dst_host"], fold)
 
 
-def outlink_diversity(links, num_buckets: int = 32):
+def outlink_diversity(links):
     """Per-page outbound-link diversity — the classic link-spam / boilerplate
     signal (Fetterly et al. WebDB'04 use outlink statistics as a primary
     spam discriminator; SEO link farms show near-zero external fraction,
@@ -303,13 +295,11 @@ def outlink_diversity(links, num_buckets: int = 32):
     block-distinct ``(src_url, dst_host, c)`` partials (a template
     linking the same host 500 times collapses to one row per block;
     src_host rides along as a functional dependent of src_url), then ONE
-    hash(src_url)-bucket exchange and a per-bucket pandas C-path fold.
+    src_url-keyed bucket exchange and a per-bucket pandas C-path fold.
     Bodies and anchors never move; a hot src (a directory page with 10^5
     outlinks) costs a reduce key bounded by its distinct-host fan-out."""
     import pandas as pd
     import pyarrow.compute as pc
-
-    from .joins import _bucket_of
 
     host_re = r"^[A-Za-z][A-Za-z0-9+.\-]*://(?P<h>[^/?#]+)"
 
@@ -326,13 +316,11 @@ def outlink_diversity(links, num_buckets: int = 32):
                          "dst_host": dh}).filter(keep)
         g = (base.group_by(["src_url", "src_host", "dst_host"])
              .aggregate([("dst_host", "count")]))
-        out = pa.table({
+        return pa.table({
             "src_url": g["src_url"], "src_host": g["src_host"],
             "dst_host": g["dst_host"],
             "c": pa.array(g["dst_host_count"].to_numpy(
                 zero_copy_only=False).astype(np.int64))})
-        return out.append_column(
-            "__bucket", _bucket_of(out, ["src_url"], num_buckets))
 
     def fold(df: pd.DataFrame) -> pd.DataFrame:
         if len(df) == 0:
@@ -357,8 +345,8 @@ def outlink_diversity(links, num_buckets: int = 32):
             out[c] = out[c].astype("int64")
         return out
 
-    return (links.map_batches(partial, batch_format="pyarrow")
-            .groupby("__bucket").map_groups(fold, batch_format="pandas"))
+    return bucket_exchange(links.map_batches(partial, batch_format="pyarrow"),
+                           ["src_url"], fold)
 
 
 HITS_SCALE = 10**6
@@ -431,7 +419,7 @@ def pagerank_weighted(edges, num_nodes: int, iters: int = 5,
                      weighted=True)
 
 
-def reciprocal_edges(edges, num_buckets: int = 32):
+def reciprocal_edges(edges):
     """Reciprocal-link audit over ``(src, dst)`` edges — the classic
     link-spam / link-exchange signal (organic web graphs are ~25%
     reciprocal at host level; link farms approach 100%): per src node,
@@ -446,9 +434,6 @@ def reciprocal_edges(edges, num_buckets: int = 32):
     second node-bucket fold sums per src. Both exchanges move 3-int
     value rows (lo, hi, src / src, out, recip) plus the bucket tag."""
     import pandas as pd
-    import pyarrow.compute as pc
-
-    from .joins import _bucket_of
 
     def pair_rows(t: pa.Table) -> pa.Table:
         s = t["src"].cast(pa.int64()).to_numpy(zero_copy_only=False)
@@ -457,12 +442,10 @@ def reciprocal_edges(edges, num_buckets: int = 32):
         s, d = s[keep], d[keep]
         lo = np.minimum(s, d)
         hi = np.maximum(s, d)
-        out = pa.table({
+        return pa.table({
             "lo": pa.array(lo), "hi": pa.array(hi),
             "src": pa.array(s),
         })
-        return out.append_column(
-            "__bucket", _bucket_of(out, ["lo", "hi"], num_buckets))
 
     def mark(g: pd.DataFrame) -> pd.DataFrame:
         if len(g) == 0:
@@ -483,13 +466,9 @@ def reciprocal_edges(edges, num_buckets: int = 32):
             "out": np.ones(len(g), dtype=np.int64),
             "recip": both.to_numpy().astype(np.int64)})
 
-    marked = (edges.map_batches(pair_rows, batch_format="pyarrow")
-              .groupby("__bucket").map_groups(mark,
-                                              batch_format="pandas"))
-
-    def tag_src(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            "__b2", _bucket_of(t, ["src"], num_buckets))
+    marked = bucket_exchange(
+        edges.map_batches(pair_rows, batch_format="pyarrow"), ["lo", "hi"],
+        mark)
 
     def fold(df: pd.DataFrame) -> pd.DataFrame:
         if len(df) == 0:
@@ -507,11 +486,10 @@ def reciprocal_edges(edges, num_buckets: int = 32):
                               // out["out_deg"]).astype("int64")
         return out
 
-    return (marked.map_batches(tag_src, batch_format="pyarrow")
-            .groupby("__b2").map_groups(fold, batch_format="pandas"))
+    return bucket_exchange(marked, ["src"], fold)
 
 
-def degree_histogram(edges, num_buckets: int = 32):
+def degree_histogram(edges):
     """Log2-bucketed in/out-degree histogram — the one-page web-graph
     health audit (degree distributions are the first thing that shifts
     when a crawl hits a spam network or a trap): per (direction,
@@ -522,8 +500,6 @@ def degree_histogram(edges, num_buckets: int = 32):
     each direction, ONE node-bucket exchange folds exact degrees, then
     a bounded (direction x ~64 buckets) groupby."""
     import pandas as pd
-
-    from .joins import _bucket_of
 
     def partial(t: pa.Table) -> pa.Table:
         frames = []
@@ -536,10 +512,7 @@ def degree_histogram(edges, num_buckets: int = 32):
                 "node": g["node"],
                 "c": pa.array(g["node_count"].to_numpy(
                     zero_copy_only=False).astype(np.int64))}))
-        out = pa.concat_tables(frames)
-        return out.append_column(
-            "__bucket", _bucket_of(out, ["direction", "node"],
-                                   num_buckets))
+        return pa.concat_tables(frames)
 
     def fold(df: pd.DataFrame) -> pd.DataFrame:
         if len(df) == 0:
@@ -564,13 +537,11 @@ def degree_histogram(edges, num_buckets: int = 32):
         out["n_nodes"] = out["n_nodes"].astype("int64")
         return out
 
-    from .joins import group_aggregate
-
     # per-bucket partial histograms merge in one bounded grouped sum
     # (direction x <=64 log buckets)
     return group_aggregate(
-        edges.map_batches(partial, batch_format="pyarrow")
-        .groupby("__bucket").map_groups(fold, batch_format="pandas"),
+        bucket_exchange(edges.map_batches(partial, batch_format="pyarrow"),
+                        ["direction", "node"], fold),
         ["direction", "log2_deg"], {"n_nodes": ("n_nodes", "sum")})
 
 
@@ -606,8 +577,7 @@ def hyperball(edges, num_nodes: int, iters: int = 2, p: int = 6):
         return bsp.collect(shards, "digest_table")
 
 
-def colink_similarity(links, threshold: float = 0.2,
-                      num_buckets: int = 64, max_df: int = None):
+def colink_similarity(links, threshold: float = 0.2, max_df: int = None):
     """Co-citation similarity between hosts (Small '73 co-citation /
     the SimRank-lite used for "related sites"): exact Jaccard between
     the sets of PAGES each host pair is linked FROM — two hosts linked
@@ -644,15 +614,7 @@ def colink_similarity(links, threshold: float = 0.2,
     rows = links.map_batches(explode, batch_format="pyarrow")
 
     # global distinct (shingle, host) + per-host set size, then the
-    # standard inverted-index layout (shingle, doc_id, n_sh, __bucket)
-    def tag(t: pa.Table) -> pa.Table:
-        sh = t["shingle"].to_numpy(zero_copy_only=False).astype(
-            np.uint64)
-        return pa.table({
-            "shingle": t["shingle"], "doc_id": t["doc_id"],
-            "__bucket": pa.array((sh % np.uint64(num_buckets))
-                                 .astype(np.int32))})
-
+    # standard inverted-index layout (shingle, doc_id, n_sh)
     def distinct_and_size(g: pd.DataFrame) -> pd.DataFrame:
         if len(g) == 0:
             return pd.DataFrame({
@@ -661,31 +623,11 @@ def colink_similarity(links, threshold: float = 0.2,
         g = g.drop_duplicates(["shingle", "doc_id"])
         return g[["shingle", "doc_id"]]
 
-    distinct = (rows.map_batches(tag, batch_format="pyarrow")
-                .groupby("__bucket")
-                .map_groups(distinct_and_size, batch_format="pandas"))
+    distinct = bucket_exchange(rows, ["shingle"],
+                               distinct_and_size).materialize()
 
-    # per-host set size via one bounded groupby, broadcast back as a
-    # small dict (host cardinality is the politeness-shard domain)
-    from .joins import group_aggregate
-
-    sizes = {int(r["doc_id"]): int(r["n_sh"]) for r in
-             group_aggregate(distinct, "doc_id",
-                             {"n_sh": (None, "count_all")}).take_all()}
-
-    def inv_layout(t: pa.Table) -> pa.Table:
-        sh = t["shingle"].to_numpy(zero_copy_only=False).astype(
-            np.uint64)
-        hosts = t["doc_id"].to_numpy(zero_copy_only=False).astype(
-            np.int64)
-        n_sh = np.fromiter((sizes.get(int(h), 0) for h in hosts),
-                           dtype=np.int64, count=len(hosts))
-        return pa.table({
-            "shingle": pa.array(sh, type=pa.uint64()),
-            "doc_id": pa.array(hosts),
-            "n_sh": pa.array(n_sh),
-            "__bucket": pa.array((sh % np.uint64(num_buckets))
-                                 .astype(np.int32))})
-
-    inv = distinct.map_batches(inv_layout, batch_format="pyarrow")
-    return _jaccard_join(inv, threshold, num_buckets, max_df)
+    # per-host set size via one grouped count, joined back on the host
+    sizes = group_aggregate(distinct, "doc_id",
+                            {"n_sh": (None, "count_all")})
+    inv = hash_bucket_join(distinct, sizes, on=["doc_id"])
+    return _jaccard_join(inv, threshold, max_df)

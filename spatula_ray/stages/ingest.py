@@ -22,6 +22,7 @@ import numpy as np
 import pyarrow as pa
 
 from . import per_task
+from .joins import bucket_exchange
 
 
 class SitemapParse:
@@ -64,7 +65,7 @@ def parse_sitemaps(sitemaps, batch_size: int = 32):
 
 def dust_param_rules(pages, url_col: str = "url",
                      fp_col: str = "fingerprint", min_support: int = 2,
-                     num_buckets: int = 32, oracle_parity: bool = False):
+                     oracle_parity: bool = False):
     """DUST rule mining (Bar-Yossef et al., "Do not crawl in the DUST:
     different URLs with similar text", WWW'07): discover query parameters
     that do NOT affect page content — session ids, tracking tags — so the
@@ -184,8 +185,7 @@ def dust_param_rules(pages, url_col: str = "url",
     probes = tagged.map_batches(side(1), batch_format="pyarrow")
 
     matched = hash_bucket_join(probes, bases,
-                               on=["jb", "jfp", "msum", "n"],
-                               num_buckets=num_buckets)
+                               on=["jb", "jfp", "msum", "n"])
     rules = group_aggregate(matched, ["host", "param"],
                             {"support": (None, "count_all")})
 
@@ -197,8 +197,7 @@ def dust_param_rules(pages, url_col: str = "url",
 
 def recrawl_priority(snaps, url_col: str = "url",
                      snap_col: str = "snap_id",
-                     fp_col: str = "fingerprint",
-                     num_buckets: int = 32):
+                     fp_col: str = "fingerprint"):
     """Recrawl scheduling from crawl-snapshot history (Cho &
     Garcia-Molina, "Estimating frequency of change", ACM TOIT'03 — the
     incremental-crawl step downstream of :func:`snapshot_diff`): per URL,
@@ -215,20 +214,12 @@ def recrawl_priority(snaps, url_col: str = "url",
     ``-2`` for ``I == 0`` (a single observation — no estimate yet).
     Recrawl priority = lam_micro descending with -1 ahead of all.
 
-    Shape: coarse ``hash(url) % B`` buckets -> ONE vectorized kernel per
+    Shape: one url-keyed bucket exchange -> ONE vectorized kernel per
     bucket (sort by (url, snap), shifted-compare change flags, C-path
     pandas groupby — the ``user_sessions`` pattern; never a Python call
     per URL). Only narrow ``(url, snap, fp)`` rows shuffle; S snapshots
     of the corpus stream through as S x corpus key rows."""
     import pandas as pd
-
-    def bucketize(t: pa.Table) -> pa.Table:
-        u = t[url_col].combine_chunks().to_numpy(zero_copy_only=False)
-        h = pd.util.hash_array(np.asarray(u, dtype=object))
-        return t.append_column(
-            "__bucket", pa.array((h % num_buckets).astype(np.int32)))
-
-    keyed = snaps.map_batches(bucketize, batch_format="pyarrow")
 
     def est(g: pd.DataFrame) -> pd.DataFrame:
         empty = pd.DataFrame({
@@ -266,13 +257,12 @@ def recrawl_priority(snaps, url_col: str = "url",
         out["lam_micro"] = lam
         return out
 
-    return keyed.groupby("__bucket").map_groups(est, batch_format="pandas")
+    return bucket_exchange(snaps, [url_col], est)
 
 
 def snapshot_diff(old, new, key_col: str = "url",
                   fp_col: str = "fingerprint",
-                  include_unchanged: bool = False,
-                  num_buckets: int = 32):
+                  include_unchanged: bool = False):
     """Crawl-snapshot diff — the incremental-recrawl accounting step:
     given yesterday's and today's (url, content-fingerprint) tables,
     classify every URL as ``added`` (new only), ``removed`` (old only),
@@ -290,8 +280,7 @@ def snapshot_diff(old, new, key_col: str = "url",
 
     from .joins import hash_bucket_join
 
-    j = hash_bucket_join(new, old, on=[key_col], how="outer",
-                         num_buckets=num_buckets)
+    j = hash_bucket_join(new, old, on=[key_col], how="outer")
     old_fp_col = fp_col + "_r"
 
     def status(t: pa.Table) -> pa.Table:
@@ -319,7 +308,7 @@ def snapshot_diff(old, new, key_col: str = "url",
 
 
 def trap_host_stats(urls, url_col: str = "url", repeat_k: int = 3,
-                    depth_limit: int = 8, num_buckets: int = 32):
+                    depth_limit: int = 8):
     """Crawler-trap detection over the URL-seen / frontier table — the
     classic crawl-health audit (Heydon & Najork's Mercator §3.3 calls
     these "black holes": calendars, session-id loops, self-similar path
@@ -345,8 +334,6 @@ def trap_host_stats(urls, url_col: str = "url", repeat_k: int = 3,
     import pandas as pd
     import pyarrow.compute as pc
 
-    from .joins import _bucket_of
-
     host_pat = r"^[A-Za-z][A-Za-z0-9+.\-]*://(?P<h>[^/?#]+)(?P<p>[^?#]*)"
 
     def partial(t: pa.Table) -> pa.Table:
@@ -365,8 +352,7 @@ def trap_host_stats(urls, url_col: str = "url", repeat_k: int = 3,
                 "n_urls": pa.array([], type=pa.int64()),
                 "max_depth": pa.array([], type=pa.int64()),
                 "n_deep": pa.array([], type=pa.int64()),
-                "n_repeat": pa.array([], type=pa.int64()),
-                "__bucket": pa.array([], type=pa.int32())})
+                "n_repeat": pa.array([], type=pa.int64())})
         segs = pc.split_pattern(path, "/")
         flat = pc.list_flatten(segs)
         parent = np.repeat(np.arange(n, dtype=np.int64),
@@ -399,7 +385,7 @@ def trap_host_stats(urls, url_col: str = "url", repeat_k: int = 3,
              .agg(n_urls=("depth", "size"), max_depth=("depth", "max"),
                   n_deep=("deep", "sum"), n_repeat=("rep", "sum"))
              .reset_index())
-        out = pa.table({
+        return pa.table({
             "host": pa.array(g["host"].to_numpy(), type=pa.string()),
             "n_urls": pa.array(g["n_urls"].to_numpy().astype(np.int64)),
             "max_depth": pa.array(
@@ -407,8 +393,6 @@ def trap_host_stats(urls, url_col: str = "url", repeat_k: int = 3,
             "n_deep": pa.array(g["n_deep"].to_numpy().astype(np.int64)),
             "n_repeat": pa.array(
                 g["n_repeat"].to_numpy().astype(np.int64))})
-        return out.append_column(
-            "__bucket", _bucket_of(out, ["host"], num_buckets))
 
     def fold(df) -> "pd.DataFrame":
         if len(df) == 0:
@@ -431,8 +415,8 @@ def trap_host_stats(urls, url_col: str = "url", repeat_k: int = 3,
                           | (2 * out["n_repeat"] >= out["n_urls"]))
         return out
 
-    return (urls.map_batches(partial, batch_format="pyarrow")
-            .groupby("__bucket").map_groups(fold, batch_format="pandas"))
+    return bucket_exchange(urls.map_batches(partial, batch_format="pyarrow"),
+                           ["host"], fold)
 
 
 def parse_robots(bodies, host_col: str = "host", body_col: str = "body"):
@@ -612,7 +596,7 @@ def parse_warc(shards, shard_col: str = "shard_id",
 
 
 def canonical_urls(pages, url_col: str = "url",
-                   fp_col: str = "fingerprint", num_buckets: int = 32):
+                   fp_col: str = "fingerprint"):
     """Canonical-URL election — the alias-folding table downstream of
     :func:`dust_param_rules` and ``graph.resolve_redirects``: URLs whose
     content fingerprints are identical are aliases of one page; per
@@ -628,20 +612,16 @@ def canonical_urls(pages, url_col: str = "url",
     32-hex unit produced upstream)."""
     import pandas as pd
 
-    from .joins import _bucket_of
-
     def partial(t: pa.Table) -> pa.Table:
         g = (pa.table({"fingerprint": t[fp_col].cast(pa.string()),
                        "url": t[url_col].cast(pa.string())})
              .group_by(["fingerprint"])
              .aggregate([("url", "min"), ("url", "count")]))
-        out = pa.table({
+        return pa.table({
             "fingerprint": g["fingerprint"],
             "url_min": g["url_min"],
             "c": pa.array(g["url_count"].to_numpy(
                 zero_copy_only=False).astype(np.int64))})
-        return out.append_column(
-            "__bucket", _bucket_of(out, ["fingerprint"], num_buckets))
 
     def fold(df: "pd.DataFrame") -> "pd.DataFrame":
         if len(df) == 0:
@@ -656,8 +636,8 @@ def canonical_urls(pages, url_col: str = "url",
         out["n_aliases"] = out["n_aliases"].astype("int64")
         return out[out["n_aliases"] >= 2].reset_index(drop=True)
 
-    return (pages.map_batches(partial, batch_format="pyarrow")
-            .groupby("__bucket").map_groups(fold, batch_format="pandas"))
+    return bucket_exchange(pages.map_batches(partial, batch_format="pyarrow"),
+                           ["fingerprint"], fold)
 
 
 def write_sharded(docs, out_dir: str, num_shards: int = 8,
@@ -793,20 +773,20 @@ def crawl_budget_allocation(hosts, budget: int,
         # slice to extend past it — see recrawl_budget, prefix_len=4)
         pad = pc.binary_join_element_wise(h, "\x00" * prefix_len, "")
         pref = pc.utf8_slice_codeunits(pad, 0, prefix_len)
-        return pa.table({host_col: h, weight_col: w, "__bucket": pref})
+        return pa.table({host_col: h, weight_col: w, "__prefix": pref})
 
     keyed = hosts.map_batches(key_bucket, batch_format="pyarrow") \
         .materialize()
 
     from .joins import group_aggregate
 
-    per_bucket = group_aggregate(keyed, "__bucket",
+    per_bucket = group_aggregate(keyed, "__prefix",
                                  {"w": (weight_col, "sum")}).take_all()
-    per_bucket.sort(key=lambda r: r["__bucket"])
+    per_bucket.sort(key=lambda r: r["__prefix"])
     offsets = {}
     run = 0
     for r in per_bucket:
-        offsets[r["__bucket"]] = run
+        offsets[r["__prefix"]] = run
         run += r["w"]
     total = run
     if total <= 0:
@@ -827,7 +807,7 @@ def crawl_budget_allocation(hosts, budget: int,
         w = g[weight_col].to_numpy().astype(np.int64)
         if (w < 0).any():
             raise ValueError("crawl_budget_allocation: negative weight")
-        base = offsets[g["__bucket"].iloc[0]]
+        base = offsets[g["__prefix"].iloc[0]]
         cw = base + np.cumsum(w)
         hi = (cw * budget) // total
         lo = ((cw - w) * budget) // total
@@ -836,7 +816,7 @@ def crawl_budget_allocation(hosts, budget: int,
             weight_col: w,
             "budget": (hi - lo).astype(np.int64)})
 
-    return keyed.groupby("__bucket").map_groups(alloc,
+    return keyed.groupby("__prefix").map_groups(alloc,
                                                 batch_format="pandas")
 
 

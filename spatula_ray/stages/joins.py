@@ -1,10 +1,14 @@
-"""Portable partitioned hash join for Ray Data (guide pattern): tag sides,
-align schemas, add ``__bucket = hash64(key) % B``, union, groupby(bucket),
-pandas merge per bucket. Deterministic; B and skew handling are explicit
-(salt a hot key by raising B). Used by the relational pipelines where both
-sides are large; broadcast lookup (ray.put + per-batch merge) covers the
-small-side case. The suite's keyed aggregate, :func:`group_aggregate`,
-rides the same bucket exchange."""
+"""The suite's one keyed exchange and the joins built on it.
+
+:func:`bucket_exchange` appends ``__bucket = hash(keys) % B`` with one
+bucket per cluster CPU and runs ``groupby(__bucket).map_groups``, so
+every row of a key reaches one call of the per-bucket function. B is a
+placement choice only: no exchange keeps state between calls, so no
+output depends on it, and a hot key costs its own bucket whatever B is.
+The partitioned hash join (tag sides, align schemas, union, Arrow join
+per bucket) and the suite's keyed aggregate, :func:`group_aggregate`,
+ride it. Broadcast lookup (the small side rides in the map function)
+covers the small-side case."""
 
 from __future__ import annotations
 
@@ -14,7 +18,7 @@ import numpy as np
 import pyarrow as pa
 
 
-def _bucket_of(t: pa.Table, on: List[str], num_buckets: int) -> pa.Array:
+def _bucket_of(t: pa.Table, on: List[str], n: int) -> pa.Array:
     """Vectorized bucket assignment over key columns: integer columns go
     straight through a multiply-mix; everything else through pandas'
     C-vectorized deterministic ``hash_array`` (fixed siphash key, so
@@ -36,7 +40,34 @@ def _bucket_of(t: pa.Table, on: List[str], num_buckets: int) -> pa.Array:
         mixed = mixed * np.uint64(0x9E3779B97F4A7C15) + vals
     mixed ^= mixed >> np.uint64(33)
     mixed *= np.uint64(0xFF51AFD7ED558CCD)
-    return pa.array((mixed % np.uint64(num_buckets)).astype(np.int64))
+    return pa.array((mixed % np.uint64(n)).astype(np.int64))
+
+
+def bucket_exchange(ds, keys, fn, batch_format: str = "pandas"):
+    """Co-locate the rows of ``ds`` by ``keys``: every row of a key
+    reaches the same call of ``fn``, which gets one bucket's rows (many
+    keys, in no particular order) as a ``batch_format`` batch and returns
+    any rows. There is one bucket per cluster CPU; the ``__bucket``
+    column never reaches ``fn`` or the output. This is the suite's one
+    hash exchange: ``fn`` must not depend on which keys share its
+    bucket."""
+    from ..config import cluster_cpus
+
+    keys = [keys] if isinstance(keys, str) else list(keys)
+    n = cluster_cpus()
+
+    def tag(t: pa.Table) -> pa.Table:
+        t = t.replace_schema_metadata(None)   # pandas-block relic
+        return t.append_column("__bucket", _bucket_of(t, keys, n))
+
+    def call(g):
+        if batch_format == "pyarrow":
+            return fn(g.drop_columns(["__bucket"]))
+        return fn(g.drop(columns=["__bucket"]))
+
+    return (ds.map_batches(tag, batch_format="pyarrow")
+            .groupby("__bucket")
+            .map_groups(call, batch_format=batch_format))
 
 
 # per aggregate: its Arrow partials, as (per-block function, combining
@@ -59,16 +90,12 @@ def group_aggregate(ds, keys, aggs: dict):
     with SQL null semantics (sum/min/max/mean of an all-null group are
     null, its count is 0). Null keys form one group, as in ``GROUP BY``.
 
-    Each block folds to per-key partials with ``pa.Table.group_by``, the
-    partials take a bucket from :func:`_bucket_of` over the keys (one
-    bucket per cluster CPU), one ``groupby(bucket).map_groups`` exchange
-    brings every key's partials together, and a second Arrow
-    ``group_by`` combines them. No row or group passes through Python.
-    Output rows come in no particular order: sort the result where order
+    Each block folds to per-key partials with ``pa.Table.group_by``, one
+    :func:`bucket_exchange` on the keys brings every key's partials
+    together, and a second Arrow ``group_by`` combines them. No row or
+    group passes through Python. Output rows come in no particular order: sort the result where order
     matters. Columns: the keys, then ``aggs`` in order."""
     import pyarrow.compute as pc
-
-    from ..config import cluster_cpus
 
     keys = [keys] if isinstance(keys, str) else list(keys)
     partials = []        # (source column or None, phase-1 fn, phase-2 fn)
@@ -82,7 +109,6 @@ def group_aggregate(ds, keys, aggs: dict):
                                 else "a column"))
         partials += [(col, f1, f2) for f1, f2 in _AGG_PARTS[op]]
     names = [f"__p{i}" for i in range(len(partials))]
-    num_buckets = cluster_cpus()
 
     def grouped(t: pa.Table, specs) -> pa.Table:
         # Arrow puts the keys first and names the rest "<col>_<fn>"
@@ -91,9 +117,7 @@ def group_aggregate(ds, keys, aggs: dict):
         ).rename_columns(keys + names)
 
     def partial(t: pa.Table) -> pa.Table:
-        t = grouped(t, [(c, f1) for c, f1, _ in partials])
-        return t.append_column("__group_bucket",
-                               _bucket_of(t, keys, num_buckets))
+        return grouped(t, [(c, f1) for c, f1, _ in partials])
 
     def combine(g: pa.Table) -> pa.Table:
         g = grouped(g, [(n, f2) for n, (_, _, f2) in zip(names, partials)])
@@ -109,9 +133,9 @@ def group_aggregate(ds, keys, aggs: dict):
                 i += 1
         return pa.table(cols, names=keys + list(aggs))
 
-    return (ds.map_batches(partial, batch_format="pyarrow", batch_size=None)
-            .groupby("__group_bucket")
-            .map_groups(combine, batch_format="pyarrow"))
+    return bucket_exchange(
+        ds.map_batches(partial, batch_format="pyarrow", batch_size=None),
+        keys, combine, batch_format="pyarrow")
 
 
 def _dataset_types(ds) -> dict:
@@ -132,7 +156,7 @@ _ARROW_JOIN_TYPE = {"inner": "inner", "left": "left outer",
 
 
 def hash_bucket_join(left, right, on: List[str], how: str = "inner",
-                     num_buckets: int = 32, suffix: str = "_r"):
+                     suffix: str = "_r"):
     """Join two Datasets on key columns. Column-name clashes on the right
     (other than the keys) get ``suffix``. The per-bucket kernel is
     pyarrow's (acero) hash join, so column dtypes survive exactly — a
@@ -173,7 +197,6 @@ def hash_bucket_join(left, right, on: List[str], how: str = "inner",
                 want = types.get(name)
                 if want is not None and t.schema.field(ci).type != want:
                     t = t.set_column(ci, name, pc.cast(t[name], want))
-            t = t.append_column("__bucket", _bucket_of(t, on, num_buckets))
             t = t.append_column("__side", pa.array([side] * t.num_rows,
                                                    type=pa.int8()))
             # align to the union schema: add missing columns as TYPED nulls
@@ -181,7 +204,7 @@ def hash_bucket_join(left, right, on: List[str], how: str = "inner",
                 if name not in t.schema.names:
                     t = t.append_column(
                         name, pa.nulls(t.num_rows, type=types[name]))
-            return t.select(all_names + ["__bucket", "__side"])
+            return t.select(all_names + ["__side"])
 
         return fn
 
@@ -209,8 +232,7 @@ def hash_bucket_join(left, right, on: List[str], how: str = "inner",
         out = lg.join(rg, keys=on, join_type=join_type)
         return out.select(all_names)
 
-    return unioned.groupby("__bucket").map_groups(merge,
-                                                  batch_format="pyarrow")
+    return bucket_exchange(unioned, on, merge, batch_format="pyarrow")
 
 
 def broadcast_lookup(ds, small_df, on: List[str], how: str = "inner"):
@@ -225,7 +247,7 @@ def broadcast_lookup(ds, small_df, on: List[str], how: str = "inner"):
 
 
 def asof_join(left, right, by: str, left_on: str, right_on: str,
-              how: str = "left", num_buckets: int = 32):
+              how: str = "left"):
     """Point-in-time (as-of) join — an operator Ray Data lacks: for every
     left row, attach the right row with the greatest ``right_on`` value
     satisfying ``right_on <= left_on`` within the same ``by`` key (``how``:
@@ -266,7 +288,6 @@ def asof_join(left, right, by: str, left_on: str, right_on: str,
     def prep(side: int):
         def fn(t: pa.Table) -> pa.Table:
             t = t.replace_schema_metadata(None)
-            t = t.append_column("__bucket", _bucket_of(t, [by], num_buckets))
             t = t.append_column("__side", pa.array([side] * t.num_rows,
                                                    type=pa.int8()))
             on_src = left_on if side == 1 else right_on
@@ -275,7 +296,7 @@ def asof_join(left, right, by: str, left_on: str, right_on: str,
                 if name not in t.schema.names:
                     t = t.append_column(
                         name, pa.nulls(t.num_rows, type=types[name]))
-            return t.select(all_names + ["__bucket", "__side", "__on"])
+            return t.select(all_names + ["__side", "__on"])
 
         return fn
 
@@ -326,11 +347,10 @@ def asof_join(left, right, by: str, left_on: str, right_on: str,
                 lrows[c] = pd.array(out, dtype=g[c].dtype)
         return lrows
 
-    return unioned.groupby("__bucket").map_groups(kernel,
-                                                  batch_format="pandas")
+    return bucket_exchange(unioned, [by], kernel)
 
 
-def hash_bucket_anti_join(left, right, on: List[str], num_buckets: int = 32):
+def hash_bucket_anti_join(left, right, on: List[str]):
     """Rows of ``left`` whose key does NOT appear in ``right`` — the
     incremental-ingest primitive (new content vs a reference snapshot).
     Both sides large: right is first reduced to distinct keys (the
@@ -341,8 +361,7 @@ def hash_bucket_anti_join(left, right, on: List[str], num_buckets: int = 32):
     marker = "__present"
     keys = group_aggregate(right.select_columns(list(on)), list(on),
                            {marker: (None, "count_all")})
-    joined = hash_bucket_join(left, keys, on=list(on), how="left",
-                              num_buckets=num_buckets)
+    joined = hash_bucket_join(left, keys, on=list(on), how="left")
 
     def only_missing(t: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -355,7 +374,7 @@ def hash_bucket_anti_join(left, right, on: List[str], num_buckets: int = 32):
 
 def range_join(left, right, left_on: str, right_on: str,
                lo: int, hi: int, by: Optional[str] = None,
-               num_buckets: int = 32, suffix: str = "_r",
+               suffix: str = "_r",
                bin_width: Optional[int] = None):
     """Interval (range) join — an operator Ray Data lacks: inner-join
     every left row to the right rows whose ``right_on`` falls inside
@@ -369,15 +388,15 @@ def range_join(left, right, left_on: str, right_on: str,
     Partitioning (documented per the custom-operator rule):
 
     * with ``by`` — all rows of a key co-locate in one hash bucket (the
-      :func:`hash_bucket_join` exchange); salt a pathological hot key by
-      range-splitting ``left_on`` within it.
-    * without ``by`` — both sides partition by TIME BIN of width
+      :func:`bucket_exchange` on the key).
+    * without ``by`` — both sides key by TIME BIN of width
       ``bin_width`` (default ``hi - lo + 1``): a right row belongs to
       exactly one bin, a left row replicates to the ≤2 (for the default
       width) bins its window overlaps, so every candidate pair meets in
       exactly one bin and no output dedup is needed. Replication factor
       is ``ceil((hi - lo) / bin_width) + 1`` — the knob trades left-side
-      duplication against per-bin fan-in.
+      duplication against per-bin fan-in. The bins then ride the same
+      exchange as a ``by`` key.
 
     Per-bucket kernel is pure vectorized numpy + Arrow ``take``: right
     rows sort once by (key-code, global ts rank) — an int64 composite
@@ -424,13 +443,9 @@ def range_join(left, right, left_on: str, right_on: str,
                     [renames.get(c, c) for c in t.schema.names])
             on_i = _on_int(t, renames.get(on_src, on_src))
             if by is not None:
-                bucket = _bucket_of(
-                    t, [renames.get(by, by) if side == 0 else by],
-                    num_buckets)
-                t = t.append_column("__bucket", bucket)
+                key = t[renames.get(by, by)].cast(types[by])
             elif side == 0:   # right: one bin per row
-                t = t.append_column(
-                    "__bucket", pa.array(on_i // width, type=pa.int64()))
+                key = pa.array(on_i // width, type=pa.int64())
             else:             # left: replicate to every overlapped bin
                 b0 = (on_i + lo) // width
                 b1 = (on_i + hi) // width
@@ -442,8 +457,8 @@ def range_join(left, right, left_on: str, right_on: str,
                     - np.repeat(seg, reps))
                 t = t.take(pa.array(idx))
                 on_i = on_i[idx]
-                t = t.append_column("__bucket",
-                                    pa.array(bins, type=pa.int64()))
+                key = pa.array(bins, type=pa.int64())
+            t = t.append_column("__key", key)
             t = t.append_column("__side", pa.array([side] * t.num_rows,
                                                    type=pa.int8()))
             t = t.append_column("__on", pa.array(on_i, type=pa.int64()))
@@ -451,14 +466,13 @@ def range_join(left, right, left_on: str, right_on: str,
                 if name not in t.schema.names:
                     t = t.append_column(
                         name, pa.nulls(t.num_rows, type=types[name]))
-            return t.select(all_names + ["__bucket", "__side", "__on"])
+            return t.select(all_names + ["__key", "__side", "__on"])
 
         return fn
 
     unioned = (left.map_batches(prep(1, {}, left_on), batch_format="pyarrow")
                .union(right.map_batches(prep(0, rename, right_on),
                                         batch_format="pyarrow")))
-    by_r = rename.get(by, by) if by is not None else None
 
     def kernel(g: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -482,25 +496,19 @@ def range_join(left, right, left_on: str, right_on: str,
         pos[ts_order] = np.arange(nr, dtype=np.int64)
         a_lo = np.searchsorted(sorted_rts, l_on + lo, side="left")
         a_hi = np.searchsorted(sorted_rts, l_on + hi, side="right")
-        if by is not None:
-            # shared key dictionary across both sides of the bucket — one
-            # CONTIGUOUS array, because dictionary_encode over a chunked
-            # array encodes each chunk against its own dictionary
-            both = pa.concat_arrays(
-                [c.cast(types[by]) for c in lt[by].chunks]
-                + [c.cast(types[by]) for c in rt[by_r].chunks])
-            codes = pc.dictionary_encode(both).indices \
-                .to_numpy(zero_copy_only=False).astype(np.int64)
-            gid_l, gid_r = codes[:lt.num_rows], codes[lt.num_rows:]
-            K = np.int64(nr + 1)
-            enc_r = gid_r * K + pos
-            r_order = np.argsort(enc_r)
-            enc_sorted = enc_r[r_order]
-            lo_idx = np.searchsorted(enc_sorted, gid_l * K + a_lo, "left")
-            hi_idx = np.searchsorted(enc_sorted, gid_l * K + a_hi, "left")
-        else:
-            r_order = ts_order
-            lo_idx, hi_idx = a_lo, a_hi
+        # shared key dictionary across both sides of the bucket — one
+        # CONTIGUOUS array, because dictionary_encode over a chunked
+        # array encodes each chunk against its own dictionary
+        both = pa.concat_arrays(lt["__key"].chunks + rt["__key"].chunks)
+        codes = pc.dictionary_encode(both).indices \
+            .to_numpy(zero_copy_only=False).astype(np.int64)
+        gid_l, gid_r = codes[:lt.num_rows], codes[lt.num_rows:]
+        K = np.int64(nr + 1)
+        enc_r = gid_r * K + pos
+        r_order = np.argsort(enc_r)
+        enc_sorted = enc_r[r_order]
+        lo_idx = np.searchsorted(enc_sorted, gid_l * K + a_lo, "left")
+        hi_idx = np.searchsorted(enc_sorted, gid_l * K + a_hi, "left")
         counts = hi_idx - lo_idx
         total = int(counts.sum())
         if total == 0:
@@ -515,5 +523,4 @@ def range_join(left, right, left_on: str, right_on: str,
         return pa.table({**{n: lo_cols[n] for n in lnames},
                          **{n: ro_cols[n] for n in out_r}})
 
-    return unioned.groupby("__bucket").map_groups(kernel,
-                                                  batch_format="pyarrow")
+    return bucket_exchange(unioned, ["__key"], kernel, batch_format="pyarrow")

@@ -19,6 +19,7 @@ import numpy as np
 import pyarrow as pa
 
 from . import per_task
+from .joins import bucket_exchange
 
 MEDIA_SCHEMA = pa.schema([
     ("media_id", pa.string()),
@@ -654,7 +655,7 @@ _SEQ_BITS = 20  # seq < 2^20 spans per document (interleaved docs are
 #                 span-bounded long before this; asserted in the kernel)
 
 
-def caption_pairs(span_ds, num_buckets: int = 32):
+def caption_pairs(span_ds):
     """Media->caption alignment over an interleaved span table
     ``(doc_id int64, seq int64, kind string, text string, media_ref
     string)``: for every non-text span, the caption is the nearest
@@ -665,7 +666,7 @@ def caption_pairs(span_ds, num_buckets: int = 32):
     side, caption)`` with ``side`` in ``after | before | none`` and
     ``cap_seq = -1`` when the document has no text at all.
 
-    Scale shape: one int-keyed shuffle (hash-bucket by doc_id so a
+    Scale shape: one doc_id-keyed bucket exchange (so a
     document's spans co-locate even when they cross input blocks),
     then a per-bucket numpy kernel — sort by a packed ``doc_id *
     2^20 + seq`` key and ``searchsorted`` the media keys into the text
@@ -673,12 +674,6 @@ def caption_pairs(span_ds, num_buckets: int = 32):
     per-row Python. No all-pairs, no driver materialization; buckets
     stay balanced because documents hash independently of size."""
     import pandas as pd
-
-    def bucket(t: pa.Table) -> pa.Table:
-        ids = t["doc_id"].to_numpy(zero_copy_only=False) \
-            if t.num_rows else np.empty(0, dtype=np.int64)
-        return t.append_column(
-            "__bucket", pa.array((ids % num_buckets).astype(np.int32)))
 
     def kernel(g: pd.DataFrame) -> pd.DataFrame:
         doc = g["doc_id"].to_numpy(dtype=np.int64)
@@ -722,15 +717,13 @@ def caption_pairs(span_ds, num_buckets: int = 32):
         out["media_ref"] = out["media_ref"].astype("string")
         return out
 
-    return (span_ds.map_batches(bucket, batch_format="pyarrow")
-            .groupby("__bucket")
-            .map_groups(kernel, batch_format="pandas"))
+    return bucket_exchange(span_ds, ["doc_id"], kernel)
 
 
-def media_asset_dedup(span_ds, num_buckets: int = 32):
+def media_asset_dedup(span_ds):
     """Asset-level exact dedup across interleaved documents: every
     non-text span's blob reduces to its md5 in the first streaming map
-    (payloads never shuffle), then one hash(md5)-bucket exchange of
+    (payloads never shuffle), then one md5-keyed bucket exchange of
     compact ``(md5, doc_id, c)`` partials yields the storage manifest
     ``(media_md5, owner_doc, n_refs, n_docs)`` — the store-once /
     rewrite-refs step of a multimodal corpus build (owner = min doc_id,
@@ -754,15 +747,11 @@ def media_asset_dedup(span_ds, num_buckets: int = 32):
             if m.num_rows else np.empty(0, dtype=np.int64)})
             .groupby(["media_md5", "doc_id"], sort=False).size()
             .reset_index(name="c"))
-        buckets = np.fromiter((int(x[:8], 16) % num_buckets
-                               for x in per["media_md5"]),
-                              dtype=np.int32, count=len(per))
         return pa.table({
             "media_md5": pa.array(per["media_md5"].to_numpy(),
                                   type=pa.string()),
             "doc_id": pa.array(per["doc_id"].to_numpy().astype(np.int64)),
             "c": pa.array(per["c"].to_numpy().astype(np.int64)),
-            "__bucket": pa.array(buckets),
         })
 
     def fold(g) -> "pd.DataFrame":
@@ -775,11 +764,11 @@ def media_asset_dedup(span_ds, num_buckets: int = 32):
             out[c] = out[c].astype("int64")
         return out
 
-    return (span_ds.map_batches(partial, batch_format="pyarrow")
-            .groupby("__bucket").map_groups(fold, batch_format="pandas"))
+    return bucket_exchange(span_ds.map_batches(partial, batch_format="pyarrow"),
+                           ["media_md5"], fold)
 
 
-def interleaved_doc_stats(span_ds, num_buckets: int = 32):
+def interleaved_doc_stats(span_ds):
     """Modality-ratio accounting per interleaved document — the
     OBELICS-style curation table a multimodal corpus build filters on
     (docs with media but almost no text, media-leading boilerplate
@@ -792,7 +781,7 @@ def interleaved_doc_stats(span_ds, num_buckets: int = 32):
 
     Streaming map reduces each batch to one partial row per document
     (media payloads never shuffle — only counters and the boundary
-    seq/kind pairs), then ONE doc-hash-bucket fold merges partials:
+    seq/kind pairs), then ONE doc_id-keyed bucket fold merges partials:
     sums for the counters, min-/max-seq election for the boundary
     flags. Mirrored by
     ``__ray_entry__.oracle_sql['interleaved_doc_stats']`` (GROUP BY
@@ -830,7 +819,6 @@ def interleaved_doc_stats(span_ds, num_buckets: int = 32):
             "lo_text": pa.array(lo.reindex(agg.index).to_numpy(dtype=bool)),
             "max_seq": pa.array(agg["max_seq"].to_numpy(dtype=np.int64)),
             "hi_text": pa.array(hi.reindex(agg.index).to_numpy(dtype=bool)),
-            "__bucket": pa.array((ids % num_buckets).astype(np.int32)),
         })
 
     def fold(g: "pd.DataFrame") -> "pd.DataFrame":
@@ -855,13 +843,12 @@ def interleaved_doc_stats(span_ds, num_buckets: int = 32):
             "leads_media": (~lo.to_numpy(dtype=bool)).astype(np.int64),
             "ends_media": (~hi.to_numpy(dtype=bool)).astype(np.int64)})
 
-    return (span_ds.map_batches(partial, batch_format="pyarrow")
-            .groupby("__bucket").map_groups(fold, batch_format="pandas"))
+    return bucket_exchange(span_ds.map_batches(partial, batch_format="pyarrow"),
+                           ["doc_id"], fold)
 
 
 def interleaved_truncate(span_ds, max_tokens: int = 40,
-                         media_tokens: int = 16,
-                         num_buckets: int = 32):
+                         media_tokens: int = 16):
     """Budgeted truncation of interleaved documents — the OBELICS/VLM
     example-builder step: keep the maximal seq-ordered PREFIX of spans
     whose cumulative token cost fits ``max_tokens`` WITHOUT ever
@@ -873,7 +860,7 @@ def interleaved_truncate(span_ds, max_tokens: int = 40,
     Output one row per doc: ``(doc_id, n_spans_total, n_spans_kept,
     tokens_total, tokens_kept, truncated)``. Scale shape: spans reduce
     to narrow ``(doc, seq, cost)`` rows in the streaming map (payloads
-    and media bytes never shuffle), ONE doc-hash-bucket exchange, and a
+    and media bytes never shuffle), ONE doc_id-keyed bucket exchange, and a
     per-bucket vectorized sort + segment cumsum — no per-doc Python."""
     import pandas as pd
     import pyarrow.compute as pc
@@ -886,13 +873,10 @@ def interleaved_truncate(span_ds, max_tokens: int = 40,
             pattern=" ")).cast(pa.int64())
         cost = pc.if_else(is_text, words,
                           pa.scalar(media_tokens, type=pa.int64()))
-        ids = t["doc_id"].cast(pa.int64()).to_numpy(
-            zero_copy_only=False)
         return pa.table({
-            "doc_id": pa.array(ids),
+            "doc_id": t["doc_id"].cast(pa.int64()),
             "seq": t["seq"].cast(pa.int64()),
             "cost": cost,
-            "__bucket": pa.array((ids % num_buckets).astype(np.int32)),
         })
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
@@ -931,5 +915,5 @@ def interleaved_truncate(span_ds, max_tokens: int = 40,
         out["truncated"] = out["n_spans_kept"] < out["n_spans_total"]
         return out
 
-    return (span_ds.map_batches(costs, batch_format="pyarrow")
-            .groupby("__bucket").map_groups(fold, batch_format="pandas"))
+    return bucket_exchange(span_ds.map_batches(costs, batch_format="pyarrow"),
+                           ["doc_id"], fold)

@@ -18,6 +18,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from . import per_task
+from .joins import bucket_exchange
 
 
 class TextStats:
@@ -410,7 +411,7 @@ class SpanLangId(LangId):
         })
 
 
-def span_langid_majority(span_ds, num_buckets: int = 32):
+def span_langid_majority(span_ds):
     """Document-level language from per-span votes: classify every text
     span independently (:class:`SpanLangId` task stage), then elect the
     majority language per document — highest span count, ties broken by
@@ -420,18 +421,12 @@ def span_langid_majority(span_ds, num_buckets: int = 32):
     embedded foreign passages; the vote preserves them as a minority
     signal (``n_major < n_spans``).
 
-    Emits ``(doc_id, lang_major, n_spans, n_major)``. One doc-hash
+    Emits ``(doc_id, lang_major, n_spans, n_major)``. One doc_id-keyed
     bucket exchange of (doc_id, seq, lang) rows; the vote kernel is
     pandas groupby C paths."""
     import pandas as pd
 
     preds = span_ds.map_batches(per_task(SpanLangId), batch_format="pyarrow")
-
-    def bucket(t: pa.Table) -> pa.Table:
-        ids = t["doc_id"].to_numpy(zero_copy_only=False) \
-            if t.num_rows else np.empty(0, dtype=np.int64)
-        return t.append_column(
-            "__bucket", pa.array((ids % num_buckets).astype(np.int32)))
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         cnt = (g.groupby(["doc_id", "lang_pred"], sort=False).size()
@@ -448,8 +443,7 @@ def span_langid_majority(span_ds, num_buckets: int = 32):
             "n_spans": out["n"].to_numpy(dtype=np.int64),
             "n_major": out["c"].to_numpy(dtype=np.int64)})
 
-    return (preds.map_batches(bucket, batch_format="pyarrow")
-            .groupby("__bucket").map_groups(fold, batch_format="pandas"))
+    return bucket_exchange(preds, ["doc_id"], fold)
 
 
 # -- C4-style line filters (Raffel et al. 2020, §2.2) ---------------------------
@@ -776,8 +770,7 @@ def readability_stats(docs, text_col: str = "text"):
 
 def host_boilerplate_lines(docs, min_df: int = 3,
                            host_col: str = "host",
-                           text_col: str = "text",
-                           num_buckets: int = 32):
+                           text_col: str = "text"):
     """Per-host template-line detection — the site-scoped counterpart of
     the global df boilerplate scrub (`curate.strip_boilerplate`): lines
     repeated across >= ``min_df`` documents OF THE SAME HOST are that
@@ -792,8 +785,6 @@ def host_boilerplate_lines(docs, min_df: int = 3,
     detected template lines are short strings and the output is bounded
     by true templating. Document bodies never shuffle."""
     import pandas as pd
-
-    from .joins import _bucket_of
 
     def explode(t: pa.Table) -> pa.Table:
         t = t.combine_chunks()
@@ -815,12 +806,10 @@ def host_boilerplate_lines(docs, min_df: int = 3,
         # distinct per doc, then count docs per (host, line) in-block
         g = (base.group_by(["host", "line", "doc"]).aggregate([])
              .group_by(["host", "line"]).aggregate([("line", "count")]))
-        out = pa.table({
+        return pa.table({
             "host": g["host"], "line": g["line"],
             "c": pa.array(g["line_count"].to_numpy(
                 zero_copy_only=False).astype(np.int64))})
-        return out.append_column(
-            "__bucket", _bucket_of(out, ["host", "line"], num_buckets))
 
     def fold(df: "pd.DataFrame") -> "pd.DataFrame":
         if len(df) == 0:
@@ -833,5 +822,5 @@ def host_boilerplate_lines(docs, min_df: int = 3,
         out["df"] = out["df"].astype("int64")
         return out[out["df"] >= min_df].reset_index(drop=True)
 
-    return (docs.map_batches(explode, batch_format="pyarrow")
-            .groupby("__bucket").map_groups(fold, batch_format="pandas"))
+    return bucket_exchange(docs.map_batches(explode, batch_format="pyarrow"),
+                           ["host", "line"], fold)

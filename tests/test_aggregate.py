@@ -182,8 +182,7 @@ def test_bucket_exchanges_log_no_schema_warning(ray_session):
         assert len(group_aggregate(ds, "k", {"n": (None, "count_all")})
                    .take_all()) == 4
         right = ray.data.from_arrow(pa.table({"k": [0, 1], "x": [1, 2]}))
-        assert hash_bucket_join(ds, right, on=["k"],
-                                num_buckets=2).count() == 200
+        assert hash_bucket_join(ds, right, on=["k"]).count() == 200
         edges = ray.data.range(60, override_num_blocks=n_blocks) \
             .map_batches(lambda t: pa.table({
                 "src": t["id"], "dst": pc.bit_wise_and(

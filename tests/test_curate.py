@@ -17,6 +17,12 @@ def _ds(table: pa.Table, parallelism=4):
     return rd.from_arrow(table).repartition(parallelism)
 
 
+# the loop must not reach Ray Data's split path, which calls the
+# deprecated ``ray._private.internal_api.free``
+NO_FREE = pytest.mark.filterwarnings("error:`free`:DeprecationWarning")
+
+
+@NO_FREE
 @pytest.mark.usefixtures("ray_session")
 @pytest.mark.parametrize("single_task_edges", [0, 2_000_000],
                          ids=["loop", "fold-task"])
@@ -32,7 +38,7 @@ def test_connected_components_chain_and_singleton(single_task_edges):
     nodes = pa.table({"node": pa.array(list(range(10)) + [20, 21, 22, 30],
                                        type=pa.int64())})
     out = curate.connected_components(
-        _ds(nodes), _ds(pairs), num_buckets=4,
+        _ds(nodes), _ds(pairs),
         single_task_edges=single_task_edges).to_pandas()
     got = dict(zip(out["doc_id"], out["cluster_id"]))
     assert all(got[i] == 0 for i in range(10))
@@ -41,13 +47,14 @@ def test_connected_components_chain_and_singleton(single_task_edges):
     assert len(out) == 14
 
 
+@NO_FREE
 @pytest.mark.usefixtures("ray_session")
 def test_connected_components_respects_max_iters():
     pairs = pa.table({"a": pa.array(list(range(5)), type=pa.int64()),
                       "b": pa.array(list(range(1, 6)), type=pa.int64())})
     nodes = pa.table({"node": pa.array(list(range(6)), type=pa.int64())})
     out = curate.connected_components(_ds(nodes, 2), _ds(pairs, 2),
-                                      max_iters=1, num_buckets=2,
+                                      max_iters=1,
                                       single_task_edges=0).to_pandas()
     # one iteration propagates labels one hop only
     got = dict(zip(out["doc_id"], out["cluster_id"]))
@@ -209,7 +216,7 @@ def test_dedup_paragraphs_keep_first_and_reassembly():
             "delta four\n\ndelta four\nepsilon five",
         ]),
     })
-    out = curate.dedup_paragraphs(_ds(t), num_buckets=4).to_pandas()
+    out = curate.dedup_paragraphs(_ds(t)).to_pandas()
     out = out.sort_values("doc_id").reset_index(drop=True)
     assert list(out["doc_id"]) == [1, 2, 3, 4]
     assert list(out["clean_text"]) == [
@@ -228,8 +235,8 @@ def test_dedup_paragraphs_batch_invariant():
              for i in range(40)]
     t = pa.table({"doc_id": pa.array(range(40), type=pa.int64()),
                   "text": pa.array(texts)})
-    a = curate.dedup_paragraphs(_ds(t, 1), num_buckets=2).to_pandas()
-    b = curate.dedup_paragraphs(_ds(t, 16), num_buckets=8).to_pandas()
+    a = curate.dedup_paragraphs(_ds(t, 1)).to_pandas()
+    b = curate.dedup_paragraphs(_ds(t, 16)).to_pandas()
     a = a.sort_values("doc_id").reset_index(drop=True)
     b = b.sort_values("doc_id").reset_index(drop=True)
     pd.testing.assert_frame_equal(a, b)

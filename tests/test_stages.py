@@ -180,7 +180,7 @@ def test_asof_join_semantics():
         "click_ts": ts(10, 20)})).repartition(2)
 
     out = asof_join(left, right, by="user_id", left_on="ts",
-                    right_on="click_ts", num_buckets=4).to_pandas()
+                    right_on="click_ts").to_pandas()
     out = out.sort_values("event_id").reset_index(drop=True)
     assert len(out) == 4
     assert out["click_event_id"].isna().tolist() == [True, False, False, True]
@@ -207,8 +207,7 @@ def test_hash_bucket_anti_join():
     right = rd.from_arrow(pa.table({
         "k": pa.array(["b", "b", "d"], type=pa.string()),
         "extra": pa.array([9, 9, 9], type=pa.int64())})).repartition(2)
-    out = hash_bucket_anti_join(left, right, on=["k"],
-                                num_buckets=4).to_pandas()
+    out = hash_bucket_anti_join(left, right, on=["k"]).to_pandas()
     assert sorted(out["v"]) == [1, 3]
     assert sorted(out.columns) == ["k", "v"]
 
@@ -537,8 +536,8 @@ def test_range_join_keyed_vs_bruteforce():
     lo, hi = -5, 12
     got = range_join(rd.from_arrow(lt).repartition(5),
                      rd.from_arrow(rt).repartition(4),
-                     left_on="t", right_on="t", lo=lo, hi=hi, by="k",
-                     num_buckets=4).to_pandas()
+                     left_on="t", right_on="t", lo=lo, hi=hi,
+                     by="k").to_pandas()
     lpd, rpd = lt.to_pandas(), rt.to_pandas()
     want = lpd.merge(rpd, on="k", suffixes=("", "_r"))
     want = want[(want["t_r"] >= want["t"] + lo)
