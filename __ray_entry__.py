@@ -357,8 +357,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
                                     threshold=0.5)
 
     def simhash_pairs(sf_dir):
-        return dd.simhash_dup_pairs(_docs_with_copies(sf_dir), max_hamming=3,
-                                    oracle_parity=True)
+        return dd.simhash_dup_pairs(_docs_with_copies(sf_dir), max_hamming=3)
 
     def embedding_dups(sf_dir):
         return dd.embedding_dup_pairs(_embeddings_with_copies(sf_dir),
@@ -592,13 +591,11 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
         docs = _docs(sf_dir, ["doc_id", "text"]).materialize()
         bits = bloom_bits(
-            docs.map_batches(lambda t: side(t, True), batch_format="pyarrow"),
-            oracle_parity=True)
+            docs.map_batches(lambda t: side(t, True), batch_format="pyarrow"))
         train = docs.map_batches(lambda t: side(t, False),
                                  batch_format="pyarrow")
         return train.map_batches(
-            per_task(BloomDecontaminate, bits=ray.put(bits),
-                     oracle_parity=True),
+            per_task(BloomDecontaminate, bits=ray.put(bits)),
             batch_format="pyarrow")
 
     def heavy_hitters_q(sf_dir):
@@ -611,8 +608,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
                 out.extend((txt or "").split(" "))
             return out
 
-        return cms_heavy_hitters(_docs(sf_dir, ["text"]), tokens, k=50,
-                                 oracle_parity=True)
+        return cms_heavy_hitters(_docs(sf_dir, ["text"]), tokens, k=50)
 
     def mix_head(sf_dir):
         from spatula_ray.stages.curate import weighted_mix_head
@@ -730,8 +726,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         ev = read_parquet_clean(os.path.join(sf_dir, "events.parquet"),
                                 columns=["event_type", "user_id"])
         return hll_distinct_by(ev, "event_type",
-                               column_str_extractor("user_id"),
-                               oracle_parity=True)
+                               column_str_extractor("user_id"))
 
     def quality_weighted_sample_q(sf_dir):
         import pyarrow.compute as pc
@@ -804,8 +799,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
     def distinct_shingles_hll_q(sf_dir):
         from spatula_ray.stages.sketch import hll_distinct, shingle_extractor
 
-        return hll_distinct(_docs(sf_dir, ["text"]), shingle_extractor(),
-                            oracle_parity=True)
+        return hll_distinct(_docs(sf_dir, ["text"]), shingle_extractor())
 
     def chunk_documents_q(sf_dir):
         from spatula_ray.stages.curate import chunk_documents
@@ -1166,8 +1160,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
     def hashed_linear_score_q(sf_dir):
         from spatula_ray.stages.text import hashed_linear_score
 
-        return hashed_linear_score(_docs(sf_dir, ["doc_id", "text"]),
-                                   oracle_parity=True)
+        return hashed_linear_score(_docs(sf_dir, ["doc_id", "text"]))
 
     def resolve_redirects_q(sf_dir):
         import pyarrow as pa
@@ -1538,7 +1531,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         aug = base.union(base.map_batches(
             copies, batch_format="pyarrow")).materialize()
 
-        scored = hashed_linear_score(aug, oracle_parity=True) \
+        scored = hashed_linear_score(aug) \
             .select_columns(["doc_id", "score_micro"]).materialize()
         qs = exact_quantiles(scored, "score_micro", [0.25, 0.5, 0.75],
                              gather_threshold=0)
@@ -1982,8 +1975,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
     def dust_rules_q(sf_dir):
         from spatula_ray.stages.ingest import dust_param_rules
 
-        return dust_param_rules(_dust_pages(sf_dir), min_support=2,
-                                oracle_parity=True)
+        return dust_param_rules(_dust_pages(sf_dir), min_support=2)
 
     def canonical_urls_q(sf_dir):
         from spatula_ray.stages.ingest import canonical_urls
@@ -2384,7 +2376,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
                                   batch_format="pyarrow")
         raw = docs.map_batches(lambda t: side(t, False),
                                batch_format="pyarrow")
-        return dsir_select(raw, target, n=200, oracle_parity=True)
+        return dsir_select(raw, target, n=200)
 
     def pmi_top_pairs_q(sf_dir):
         from spatula_ray.stages.curate import pmi_top_pairs
@@ -5464,10 +5456,10 @@ SELECT doc_id, norm AS norm_text,
 FROM n
 """
 
-    # hashed linear classifier: md5_number_lower is the engine's
-    # oracle_parity token hash (sketch._hash64 convention); the weight
-    # table is the same pure function of the bin on both sides, and the
-    # score is an exact int64 sum, so rows are bit-identical.
+    # hashed linear classifier: md5_number_lower is the engine's token
+    # hash too (sketch.md5_number_lower); the weight table is the same
+    # pure function of the bin on both sides, and the score is an exact
+    # int64 sum, so rows are bit-identical.
     sql["hashed_linear_score"] = """
 WITH tok AS (
   SELECT doc_id, unnest(string_split(text, ' ')) AS w FROM documents

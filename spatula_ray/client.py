@@ -75,14 +75,11 @@ class SyntheticClient(FetchClient):
 
     ``resolver(url) -> dict | None`` returns a web_pages-shaped row
     (``status:int, body:bytes, flaky_until:int, latency_ms:int``) or None for
-    a 404. ``simulate_latency`` sleeps latency_ms (off by default: bench
-    measures engine throughput, tests need speed).
+    a 404.
     """
 
-    def __init__(self, resolver: Callable[[str], Optional[Dict[str, Any]]],
-                 simulate_latency: bool = False):
+    def __init__(self, resolver: Callable[[str], Optional[Dict[str, Any]]]):
         self.resolver = resolver
-        self.simulate_latency = simulate_latency
         self.fetch_count = 0
         self._attempts: Dict[str, int] = {}
 
@@ -96,8 +93,6 @@ class SyntheticClient(FetchClient):
             raise HTTPError(resp)
         attempt = self._attempts.get(url, 0)
         self._attempts[url] = attempt + 1
-        if self.simulate_latency and row.get("latency_ms"):
-            time.sleep(row["latency_ms"] / 1000.0)
         status = int(row.get("status", 200))
         body = row.get("body", b"")
         if isinstance(body, str):

@@ -211,13 +211,6 @@ class _Fallback(Exception):
     pass
 
 
-# kill-switch for A/B timing and debugging: SPATULA_RAY_SLOW_HTML=1 forces
-# every document through the stdlib builder
-import os as _os
-
-_FAST_HTML = _os.environ.get("SPATULA_RAY_SLOW_HTML", "") != "1"
-
-
 # stdlib-identical character classes (html/parser.py tagfind_tolerant /
 # attrfind_tolerant); the attr scan below mirrors parse_starttag's
 # contiguous-match loop including the `(?:\s|/(?!>))*` inter-attr eater
@@ -396,16 +389,10 @@ def fromstring_html(content: Union[bytes, str]) -> Element:
     fast path doesn't replicate bit-for-bit (see ``_fast_feed``)."""
     if isinstance(content, bytes):
         content = content.decode("utf-8", errors="replace")
-    p: _TreeBuilder
-    if _FAST_HTML:
-        p = _FastTreeBuilder()
-        try:
-            _fast_feed(p, content)
-        except _Fallback:
-            p = _TreeBuilder()
-            p.feed(content)
-            p.close()
-    else:
+    p: _TreeBuilder = _FastTreeBuilder()
+    try:
+        _fast_feed(p, content)
+    except _Fallback:
         p = _TreeBuilder()
         p.feed(content)
         p.close()

@@ -390,8 +390,6 @@ class CrawlConfig:
     expand: bool = True
     error_policy: str = "record"              # "record" | "raise"
     checkpoint_dir: Optional[str] = None
-    simulate_latency: bool = False
-    runner_num_cpus: float = 1.0
     enforce_crawl_delay: bool = False
     cache_dir: Optional[str] = None           # fastmode response cache
 
@@ -641,15 +639,13 @@ def _crawl(seeds: Sequence[Page], registry: Dict[str, type],
         scout=cfg.scout,
         expand=cfg.expand,
         error_policy=cfg.error_policy,
-        simulate_latency=cfg.simulate_latency,
         cache_dir=cfg.cache_dir,
     )
     # the runner class is read now, at crawl time; nested in a list, the
     # ref reaches a runner task unresolved (see _run_wave_block)
     runner_spec = [ray.put((PageRunner, runner_kwargs, docs_schema))]
 
-    run_task = ray.remote(num_cpus=cfg.runner_num_cpus, num_returns=3)(
-        _run_wave_block)
+    run_task = ray.remote(num_cpus=1, num_returns=3)(_run_wave_block)
     elect_task = ray.remote(num_cpus=1, num_returns=2)(_elect_block)
     write_task = ray.remote(num_cpus=1)(_write_part)
     # raw-task fan-out widths scale with the cluster, not a constant:

@@ -185,8 +185,6 @@ class PageRunner:
                  scout: bool = False,
                  expand: bool = True,
                  error_policy: str = "record",
-                 simulate_latency: bool = False,
-                 query_input: bool = False,
                  cache_dir: typing.Optional[str] = None):
         self.registry = registry
         from .schema import extend_schema, merged_record_type
@@ -198,8 +196,7 @@ class PageRunner:
             if getattr(cls, "record_fields", None))
         self.union_schema = extend_schema(UNION_SCHEMA,
                                           merged_record_type(registry))
-        self.client = SyntheticClient(resolver_factory(),
-                                      simulate_latency=simulate_latency)
+        self.client = SyntheticClient(resolver_factory())
         if cache_dir:
             # fastmode: file-per-URL response cache shared by all runners
             from ..cache import CachingClient
@@ -215,10 +212,6 @@ class PageRunner:
         self.scout = scout
         self.expand = expand
         self.error_policy = error_policy
-        # when True, winner-filter input rows here instead of in the
-        # driver's candidate pass (off by default: frontier arrives
-        # pre-filtered)
-        self.query_input = query_input
         if dep_ref is not None:
             import ray
 
@@ -421,37 +414,11 @@ class PageRunner:
                 orders.append(r["order_bytes"])
         self.state.call(FILTER, "offer", by_shard)
 
-    def _filter_seen(self, rows: list) -> list:
-        """Wave-N+1 side of the dedup protocol: drop rows that lost the
-        min-order winner election committed at the end of wave N. Runs as
-        the first step of the runner batch, so the whole query pass costs
-        no extra task round."""
-        if not self.n_filter:
-            return rows
-        by_shard: typing.Dict[int, list] = {}
-        for i, r in enumerate(rows):
-            if r.get("url") and not r.get("pre_admitted"):
-                by_shard.setdefault(int(r["url_hash"]) % self.n_filter,
-                                    []).append(i)
-        if not by_shard:
-            return rows
-        keep = [True] * len(rows)
-        masks = self.state.call(FILTER, "query", {
-            s: ([int(rows[i]["url_hash"]) for i in idxs],
-                [rows[i]["order_bytes"] for i in idxs])
-            for s, idxs in by_shard.items()})
-        for s, idxs in by_shard.items():
-            for i, ok in zip(idxs, masks[s]):
-                keep[i] = bool(ok)
-        return [r for r, k in zip(rows, keep) if k]
-
     # -- batch entry -------------------------------------------------------
     def __call__(self, batch):
         frontier_cols = [c for c in batch.schema.names
                          if c in _FRONTIER_COL_SET]
         rows = batch.select(frontier_cols).to_pylist()
-        if self.query_input:
-            rows = self._filter_seen(rows)
         codes = self._admit(rows)
         b = _UnionBuilder(self.union_schema)
         for row, code in zip(rows, codes):

@@ -351,15 +351,14 @@ class HBShard(_Shard):
         self.dst = np.asarray(dst, dtype=np.int64)
 
     def init_state(self):
-        from .sketch import _hash64
+        from .sketch import md5_number_lower
 
         self.src_bucket = _bucket_i64(self.src, self.nb)
         self.regs = np.zeros((len(self.nodes), self.m), dtype=np.int64)
         self.pos = np.searchsorted(self.nodes, self.dst)
         if len(self.nodes) == 0:
             return
-        h = _hash64([str(int(v)) for v in self.nodes],
-                    oracle_parity=True)
+        h = md5_number_lower([str(int(v)) for v in self.nodes])
         bkt = (h >> np.uint64(self.wbits)).astype(np.int64)
         w = (h & np.uint64((1 << self.wbits) - 1)).astype(np.int64)
         rho = np.full(len(w), self.wbits + 1, dtype=np.int64)

@@ -21,7 +21,6 @@ scrape output); they are the curation layer the north-star pipeline feeds.
 
 from __future__ import annotations
 
-import hashlib
 from itertools import chain
 from typing import Dict, Optional
 
@@ -32,6 +31,7 @@ import pyarrow.compute as pc
 
 from . import per_task
 from .joins import bucket_exchange
+from .sketch import _cms_bucket, md5_number_lower
 
 
 def _grid(arr, scale: float):
@@ -427,7 +427,7 @@ def cdc_chunks(docs, divisor: int = 64, max_len: int = 128):
             cut_local = np.zeros(0, dtype=np.int64)
 
         ids = t["doc_id"].to_numpy(zero_copy_only=False)
-        out_doc, out_seq, out_start, out_len, out_hash = [], [], [], [], []
+        out_doc, out_seq, out_start, out_len, chunks = [], [], [], [], []
         cut_splits = np.searchsorted(d_of, np.arange(len(texts) + 1))
         for i, txt in enumerate(texts):
             n = lens[i]
@@ -449,15 +449,14 @@ def cdc_chunks(docs, divisor: int = 64, max_len: int = 128):
                 out_seq.append(j)
                 out_start.append(s + 1)
                 out_len.append(ln)
-                out_hash.append(int.from_bytes(
-                    hashlib.md5(txt[s:s + ln].encode()).digest()[8:],
-                    "little"))
+                chunks.append(txt[s:s + ln])
         return pa.table({
             "doc_id": pa.array(out_doc, type=pa.int64()),
             "chunk_seq": pa.array(out_seq, type=pa.int64()),
             "start": pa.array(out_start, type=pa.int64()),
             "length": pa.array(out_len, type=pa.int64()),
-            "chunk_hash": pa.array(out_hash, type=pa.uint64()),
+            "chunk_hash": pa.array(md5_number_lower(chunks),
+                                   type=pa.uint64()),
         })
 
     return docs.map_batches(explode, batch_format="pyarrow")
@@ -853,8 +852,7 @@ _BLOOM_K = 3                    # hash functions
 
 
 def bloom_bits(eval_ds, k: int = 3, m: int = _BLOOM_M,
-               n_hashes: int = _BLOOM_K,
-               oracle_parity: bool = False) -> np.ndarray:
+               n_hashes: int = _BLOOM_K) -> np.ndarray:
     """Distributed Bloom-filter build over an eval corpus's shingles.
 
     The third point on the decontamination memory/exactness curve
@@ -863,11 +861,10 @@ def bloom_bits(eval_ds, k: int = 3, m: int = _BLOOM_M,
     worker for free where the exact set would not fit. Build is one
     streaming pass: per-batch distinct shingles -> bit positions ->
     ``groupby(pos)`` distinct (at most m rows cross the wire) -> one
-    driver fold into a bool array. Positions are the salted md5 /
-    hash_array family shared with the count-min sketch, so the DuckDB
-    oracle reproduces membership — including false positives —
-    bit-for-bit."""
-    from .sketch import salted_bucket
+    driver fold into a bool array. Positions are the salted
+    ``md5_number_lower`` family of the count-min sketch
+    (:func:`sketch._cms_bucket`), so the DuckDB oracle reproduces
+    membership — including false positives — bit-for-bit."""
 
     def feed(t: pa.Table) -> pa.Table:
         _, flat = _distinct_shingles(t["text"].to_pylist(), k)
@@ -876,7 +873,7 @@ def bloom_bits(eval_ds, k: int = 3, m: int = _BLOOM_M,
         if len(uniq):
             u = np.asarray(uniq, dtype=str)
             for i in range(n_hashes):
-                acc[salted_bucket(u, i, oracle_parity, m)] = True
+                acc[_cms_bucket(u, i, m)] = True
         nz = np.nonzero(acc)[0]
         return pa.table({"pos": pa.array(nz, type=pa.int64())})
 
@@ -898,7 +895,7 @@ class BloomDecontaminate:
     deterministic (false positives included) and SQL-mirrorable."""
 
     def __init__(self, bits, k: int = 3, m: int = _BLOOM_M,
-                 n_hashes: int = _BLOOM_K, oracle_parity: bool = False):
+                 n_hashes: int = _BLOOM_K):
         import ray
 
         if isinstance(bits, ray.ObjectRef):
@@ -907,11 +904,8 @@ class BloomDecontaminate:
         self._k = k
         self._m = m
         self._n_hashes = n_hashes
-        self._parity = oracle_parity
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from .sketch import salted_bucket
-
         texts = batch["text"].to_pylist()
         idx, flat = _distinct_shingles(texts, self._k)
         n_docs = len(texts)
@@ -919,7 +913,7 @@ class BloomDecontaminate:
         if len(flat):
             f = np.asarray(flat, dtype=str)
             for i in range(self._n_hashes):
-                hit &= self._bits[salted_bucket(f, i, self._parity, self._m)]
+                hit &= self._bits[_cms_bucket(f, i, self._m)]
         n_sh = np.bincount(idx, minlength=n_docs).astype(np.int64)
         bh = np.bincount(idx, weights=hit, minlength=n_docs).astype(np.int64)
         return pa.table({
@@ -1976,24 +1970,22 @@ def _dsir_feature_stream(texts):
     return uni, idx
 
 
-def dsir_bucket_totals(ds, n_buckets: int = _DSIR_B,
-                       oracle_parity: bool = False) -> np.ndarray:
+def dsir_bucket_totals(ds, n_buckets: int = _DSIR_B) -> np.ndarray:
     """Hashed-ngram bucket counts over a corpus — the sufficient
     statistic for one side of the DSIR importance ratio. Per-batch dense
     ``np.bincount`` partials -> one ``groupby('b').sum`` (at most
     ``n_buckets`` rows reach the reduce, independent of corpus size) ->
-    driver folds the bounded vector. Buckets come from the repo's shared
-    salted md5 / hash_array family (:func:`sketch.salted_bucket`, salt
-    0), so the DuckDB mirror reproduces them bit-for-bit."""
+    driver folds the bounded vector. Buckets come from the salted
+    ``md5_number_lower`` family of the count-min sketch
+    (:func:`sketch._cms_bucket`, salt 0), so the DuckDB mirror reproduces
+    them bit-for-bit."""
     from .joins import group_aggregate
-    from .sketch import salted_bucket
-
     def partial(t: pa.Table) -> pa.Table:
         feats, _ = _dsir_feature_stream(t["text"].to_pylist())
         if not len(feats):
             return pa.table({"b": pa.array([], type=pa.int64()),
                              "c": pa.array([], type=pa.int64())})
-        acc = np.bincount(salted_bucket(feats, 0, oracle_parity, n_buckets),
+        acc = np.bincount(_cms_bucket(feats, 0, n_buckets),
                           minlength=n_buckets)
         nz = np.flatnonzero(acc)
         return pa.table({"b": pa.array(nz.astype(np.int64)),
@@ -2032,23 +2024,19 @@ class DsirScore:
     per-doc ``np.bincount`` segment sums (exact: |sum| bounded well
     below 2^53). Emits ``(doc_id, n_feats, logw_micro)``."""
 
-    def __init__(self, lam_micro, n_buckets: int = _DSIR_B,
-                 oracle_parity: bool = False):
+    def __init__(self, lam_micro, n_buckets: int = _DSIR_B):
         import ray
 
         if isinstance(lam_micro, ray.ObjectRef):
             lam_micro = ray.get(lam_micro)
         self._lam = np.asarray(lam_micro, dtype=np.int64)
         self._b = n_buckets
-        self._parity = oracle_parity
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from .sketch import salted_bucket
-
         texts = batch["text"].to_pylist()
         n_docs = len(texts)
         feats, fidx = _dsir_feature_stream(texts)
-        buckets = salted_bucket(feats, 0, self._parity, self._b)
+        buckets = _cms_bucket(feats, 0, self._b)
         w = self._lam[buckets].astype(np.float64)
         logw = np.bincount(fidx, weights=w, minlength=n_docs)
         n_feats = np.bincount(fidx, minlength=n_docs)
@@ -2060,7 +2048,7 @@ class DsirScore:
 
 
 def dsir_select(raw, target, n: int, n_buckets: int = _DSIR_B,
-                add_k: int = 1, oracle_parity: bool = False) -> pa.Table:
+                add_k: int = 1) -> pa.Table:
     """Data Selection via Importance Resampling (Xie et al. 2023,
     deterministic rank-and-select variant): score every raw document by
     its hashed-ngram importance log-weight toward the target corpus and
@@ -2077,11 +2065,10 @@ def dsir_select(raw, target, n: int, n_buckets: int = _DSIR_B,
     import ray
 
     lam = dsir_log_ratio_micro(
-        dsir_bucket_totals(target, n_buckets, oracle_parity),
-        dsir_bucket_totals(raw, n_buckets, oracle_parity), add_k)
+        dsir_bucket_totals(target, n_buckets),
+        dsir_bucket_totals(raw, n_buckets), add_k)
     scored = raw.map_batches(
-        per_task(DsirScore, lam_micro=ray.put(lam), n_buckets=n_buckets,
-                 oracle_parity=oracle_parity),
+        per_task(DsirScore, lam_micro=ray.put(lam), n_buckets=n_buckets),
         batch_format="pyarrow")
 
     def local_top(t: pa.Table) -> pa.Table:

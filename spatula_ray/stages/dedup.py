@@ -15,8 +15,9 @@ merged rather than raw text moved.
 
 Determinism: all hashing is fixed-key siphash (pd.util.hash_array) or
 md5 (never builtin hash()) — stable across processes, runs and hosts.
-md5 variants exist only where hash bits appear in output and a DuckDB
-mirror needs identical bits (simhash with oracle_parity=True).
+Where hash bits appear in output (simhash, the calibration MinHash) the
+gram hash is ``sketch.md5_number_lower``, so a DuckDB mirror has
+identical bits.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import pyarrow as pa
 
 from . import per_task
 from .joins import bucket_exchange
+from .sketch import md5_number_lower
 
 _MERS61 = (1 << 61) - 1
 
@@ -60,14 +62,16 @@ def _shingle_hashes(text: str, k: int) -> np.ndarray:
     return np.unique(pd.util.hash_array(np.asarray(grams, dtype=object)))
 
 
-def _shingle_hashes_batch(texts, k: int):
+def _shingle_hashes_batch(texts, k: int, hash_fn=None):
     """Batch form of :func:`_shingle_hashes`: one flat uint64 array of
     per-doc-distinct word-k-gram hashes (docs concatenated in order) plus
     the per-doc counts. Gram strings build via elementwise object-array
-    concat (pandas/numpy C loop), ONE ``pd.util.hash_array`` call covers
-    the whole batch, and per-doc dedup is a vectorized lexsort +
-    adjacent-difference mask — same set per doc as the scalar form (order
-    within a doc differs; every consumer is order-invariant)."""
+    concat (pandas/numpy C loop), ONE ``hash_fn`` call covers the whole
+    batch (``pd.util.hash_array`` by default; ``md5_number_lower`` where
+    the hash bits reach an output), and per-doc dedup is a vectorized
+    lexsort + adjacent-difference mask — same set per doc as the scalar
+    form (order within a doc differs; every consumer is
+    order-invariant)."""
     import pandas as pd
 
     splits = [t.split(" ") if t else [] for t in texts]
@@ -102,7 +106,7 @@ def _shingle_hashes_batch(texts, k: int):
         return np.empty(0, dtype=np.uint64), n_sh
     grams = np.concatenate(grams_parts)
     docs = np.concatenate(doc_parts)
-    hashes = pd.util.hash_array(grams)
+    hashes = (hash_fn or pd.util.hash_array)(grams)
     order = np.lexsort((hashes, docs))
     docs, hashes = docs[order], hashes[order]
     keep = np.r_[True, (docs[1:] != docs[:-1]) | (hashes[1:] != hashes[:-1])]
@@ -144,8 +148,8 @@ class MinHasher:
     """Per-doc MinHash signatures; permutation parameters are derived from
     the seed once per task (:func:`per_task`).
 
-    ``oracle_parity=True`` switches BOTH the shingle hash (md5
-    low-8-bytes, :func:`_shingle_hashes_md5`) and the permutation
+    ``oracle_parity=True`` switches BOTH the shingle hash
+    (:func:`sketch.md5_number_lower`) and the permutation
     parameters to closed-form constants a DuckDB mirror can compute:
     ``a_i = ((2i+1) * 0x9E3779B9) mod 2^32`` (odd -> a bijection mod
     2^64, and < 2^32 so the SQL HUGEINT product never overflows) and
@@ -185,16 +189,9 @@ class MinHasher:
         # (total_sh, n_perm) form was DRAM-bound and 6x slower (measured
         # round 4); results are bit-identical (min is associative across
         # chunk boundaries).
-        if self.parity:
-            shs = [_shingle_hashes_md5(t or "", self.k)
-                   for t in batch["text"].to_pylist()]
-            n_sh = np.fromiter((len(s) for s in shs), dtype=np.int64,
-                               count=len(shs))
-            flat = (np.concatenate(shs) if shs
-                    else np.empty(0, dtype=np.uint64))
-        else:
-            flat, n_sh = _shingle_hashes_batch(batch["text"].to_pylist(),
-                                               self.k)
+        flat, n_sh = _shingle_hashes_batch(
+            batch["text"].to_pylist(), self.k,
+            md5_number_lower if self.parity else None)
         n = len(n_sh)
         sig = np.zeros((n, self.n_perm), dtype=np.uint64)
         nz = np.nonzero(n_sh)[0]
@@ -416,10 +413,10 @@ def minhash_calibration(ds, threshold: float = 0.2,
     :func:`ann_recall` analogue for the minhash path): for every pair
     the EXACT inverted-index join finds at ``threshold``, compare the
     signature estimate (matching components / n_perm, exact micro-units)
-    with the exact Jaccard. Uses the ``oracle_parity`` MinHasher so
-    signature VALUES are bit-identical to the SQL mirror (fast-path
-    signatures differ only in the permutation constants, not the
-    estimator's statistics).
+    with the exact Jaccard. Uses the MinHasher's SQL-mirror permutation
+    family and md5 gram hash, so signature VALUES are bit-identical to the
+    SQL mirror (fast-path signatures differ only in the permutation
+    constants, not the estimator's statistics).
 
     Output ``(a, b, jac_micro, est_micro, err_micro)``. Scale shape:
     the exact join's two compact-int exchanges + two doc-id hash-bucket
@@ -958,58 +955,21 @@ def exact_substr_cut(ds, k: int = 5, id_col: str = "doc_id",
 # SimHash
 # ---------------------------------------------------------------------------
 
-def _shingle_hashes_md5(text: str, k: int) -> np.ndarray:
-    """Distinct word-k-gram hashes via md5 low-8-bytes little-endian —
-    bit-identical to DuckDB's ``md5_number_lower(gram)``, so SimHash
-    signatures (and therefore Hamming distances) are SQL-reproducible.
-    This is the ``oracle_parity=True`` path; production defaults to the
-    ~10x faster :func:`_shingle_hashes` (round-3 verdict fix #4)."""
-    toks = text.split(" ") if text else []
-    if len(toks) < k:
-        grams = [" ".join(toks)] if toks else []
-    else:
-        grams = [" ".join(toks[i:i + k]) for i in range(len(toks) - k + 1)]
-    out = {int.from_bytes(hashlib.md5(g.encode()).digest()[8:], "little")
-           for g in grams}
-    return np.fromiter(out, dtype=np.uint64, count=len(out))
-
-
 class SimHasher:
-    """SimHash signatures. ``oracle_parity=True`` uses the DuckDB-
-    reproducible md5 gram hash (Hamming distances appear in output, so
-    cross-engine comparison needs identical bits); the default uses the
-    vectorized siphash gram hash — same statistical behavior, ~10x less
-    per-gram cost."""
+    """SimHash signatures over word k-gram hashes. The gram hash is
+    :func:`sketch.md5_number_lower`: Hamming distances appear in output,
+    so the DuckDB mirror needs identical bits."""
 
-    def __init__(self, k_shingle: int = 2, oracle_parity: bool = False):
+    def __init__(self, k_shingle: int = 2):
         self.k = k_shingle
-        self.hash_fn = (_shingle_hashes_md5 if oracle_parity
-                        else _shingle_hashes)
-
-    def simhash(self, text: str) -> int:
-        sh = self.hash_fn(text, self.k)
-        if len(sh) == 0:
-            return 0
-        bits = ((sh[:, None] >> np.arange(64, dtype=np.uint64)[None, :])
-                & np.uint64(1)).astype(np.int64)
-        v = (2 * bits - 1).sum(axis=0)
-        return sum(1 << i for i in range(64) if v[i] > 0)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         # batch-vectorized bit-majorities via CHUNKED segment sums: the
         # (chunk, 64) bit matrix stays cache-resident (the monolithic
         # form was DRAM-bound — same round-4 fix as MinHasher; add is
-        # associative across chunk boundaries). The default hash path
-        # shingles the whole batch in one extractor call; the md5
-        # oracle-parity path stays per-doc (its cost IS the md5).
-        texts = batch["text"].to_pylist()
-        if self.hash_fn is _shingle_hashes:
-            flat, n_sh = _shingle_hashes_batch(texts, self.k)
-        else:
-            shs = [self.hash_fn(t or "", self.k) for t in texts]
-            n_sh = np.array([len(s) for s in shs], dtype=np.int64)
-            flat = (np.concatenate([s for s in shs if len(s)])
-                    if n_sh.sum() else np.empty(0, dtype=np.uint64))
+        # associative across chunk boundaries)
+        flat, n_sh = _shingle_hashes_batch(batch["text"].to_pylist(),
+                                           self.k, md5_number_lower)
         n = len(n_sh)
         out = np.zeros(n, dtype=np.uint64)
         nz = np.nonzero(n_sh)[0]
@@ -1036,15 +996,13 @@ class SimHasher:
         })
 
 
-def simhash_dup_pairs(ds, max_hamming: int = 3, k_shingle: int = 2,
-                      oracle_parity: bool = False):
+def simhash_dup_pairs(ds, max_hamming: int = 3, k_shingle: int = 2):
     """Near-dup via SimHash: 4-block Hamming blocking (a pair within
     Hamming<=3 of 64 bits shares at least one exact 16-bit block) then
     exact Hamming verification per bucket."""
     import pandas as pd
 
-    sh = ds.map_batches(per_task(SimHasher, k_shingle=k_shingle,
-                                 oracle_parity=oracle_parity),
+    sh = ds.map_batches(per_task(SimHasher, k_shingle=k_shingle),
                         batch_format="pyarrow")
 
     def explode(batch: pa.Table) -> pa.Table:
@@ -1265,9 +1223,7 @@ def interleaved_fingerprint_dedup(span_ds):
     text spans, the lowercase hex of the media bytes for media spans —
     blobs are reduced to a 32-hex unit inside the first streaming map
     and never shuffle. Doc fingerprint = md5('|'.join(units ordered by
-    seq)). md5 is the documented oracle-parity choice (DuckDB mirrors
-    the same strings); swap to ``pd.util.hash_array`` off the parity
-    path as in simhash.
+    seq)). md5 because DuckDB mirrors the same strings.
 
     Shuffles: (1) (doc_id, seq, unit) rows bucketed by doc_id;
     (2) (doc_id, fingerprint) rows bucketed by fingerprint. Both

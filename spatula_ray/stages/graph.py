@@ -555,7 +555,7 @@ def hyperball(edges, num_nodes: int, iters: int = 2, p: int = 6):
     quadratic in hub degree; register unions are linear in |E|).
 
     ``m = 2^p`` registers per node (default 64); item hash is the
-    md5-parity convention of the HLL sketches (``sketch._hash64``), so
+    :func:`sketch.md5_number_lower`, as in the HLL sketches, so
     the register state is bit-identical to a DuckDB unroll. The output
     is the exact integer DIGEST of each node's final registers —
     ``(node, v_zero, sum_r)`` (zero-register count and rho sum) — the

@@ -64,8 +64,7 @@ def parse_sitemaps(sitemaps, batch_size: int = 32):
 
 
 def dust_param_rules(pages, url_col: str = "url",
-                     fp_col: str = "fingerprint", min_support: int = 2,
-                     oracle_parity: bool = False):
+                     fp_col: str = "fingerprint", min_support: int = 2):
     """DUST rule mining (Bar-Yossef et al., "Do not crawl in the DUST:
     different URLs with similar text", WWW'07): discover query parameters
     that do NOT affect page content — session ids, tracking tags — so the
@@ -87,13 +86,13 @@ def dust_param_rules(pages, url_col: str = "url",
     quadratic). Probes meet observed URLs in one hash-bucket join on
     ``(base, fingerprint, multiset-sum, param-count)``; everything that
     shuffles is narrow key rows. Multiset equality by 64-bit sum is exact
-    up to hash collisions. Per-kv hash follows the repo convention:
-    ``pd.util.hash_array`` by default, ``md5_number_lower`` parity under
-    ``oracle_parity=True`` (the gate path)."""
+    up to hash collisions. The per-kv hash is
+    :func:`sketch.md5_number_lower`, so the DuckDB mirror finds the same
+    multiset sums."""
     import pyarrow.compute as pc
 
     from .joins import group_aggregate, hash_bucket_join
-    from .sketch import _hash64
+    from .sketch import md5_number_lower
 
     host_re = r"^[A-Za-z][A-Za-z0-9+.\-]*://(?P<h>[^/]+)"
 
@@ -141,7 +140,7 @@ def dust_param_rules(pages, url_col: str = "url",
             parents = pc.list_parent_indices(kvs).to_numpy(
                 zero_copy_only=False)
             flat = pc.list_flatten(kvs)
-            h = _hash64(flat.to_pylist(), oracle_parity)
+            h = md5_number_lower(flat.to_pylist())
             tot = np.zeros(len(uq), dtype=np.uint64)
             np.add.at(tot, parents, h)            # wraps mod 2**64
             cnt = pc.list_value_length(kvs).to_numpy(
@@ -698,24 +697,24 @@ def rendezvous_shards(urls, n_old: int = 8, n_new: int = 9,
     keys whose argmax shifts to the new shard — expected 1/n_new of
     them — so a 10^10-key fleet can grow without a full rebuild. Per
     URL: the winning shard under ``n_old`` and ``n_new`` shards
-    (weight = md5 of ``url#shard`` — the repo's md5_number_lower
-    parity convention; ties, astronomically unlikely, break to the
-    lower shard id) and a ``moved`` flag. Pure streaming map, no
-    shuffle; the 1/n_new expected-move invariant is what the gate's
-    aggregate over the corpus actually verifies."""
-    import hashlib
+    (weight = :func:`sketch.md5_number_lower` of ``url#shard``, all
+    ``n_new`` weights of a batch in one call; ties, astronomically
+    unlikely, break to the lower shard id) and a ``moved`` flag. Pure
+    streaming map, no shuffle; the 1/n_new expected-move invariant is
+    what the gate's aggregate over the corpus actually verifies."""
+    from .sketch import md5_number_lower
+
+    if not 0 < n_old <= n_new:
+        raise ValueError("rendezvous_shards needs 0 < n_old <= n_new")
 
     def assign(t: pa.Table) -> pa.Table:
         us = t[url_col].to_pylist()
-        old = np.empty(len(us), dtype=np.int64)
-        new = np.empty(len(us), dtype=np.int64)
-        for i, u in enumerate(us):
-            u = u or ""
-            ws = [int.from_bytes(
-                hashlib.md5(("%s#%d" % (u, s)).encode()).digest()[8:],
-                "little") for s in range(n_new)]
-            old[i] = max(range(n_old), key=lambda s: (ws[s], -s))
-            new[i] = max(range(n_new), key=lambda s: (ws[s], -s))
+        ws = md5_number_lower(["%s#%d" % (u or "", s)
+                               for u in us for s in range(n_new)]) \
+            .reshape(len(us), n_new)
+        # argmax takes the first maximum: ties go to the lower shard
+        old = ws[:, :n_old].argmax(axis=1)
+        new = ws.argmax(axis=1)
         return pa.table({
             "url": pa.array(us, type=pa.string()),
             "shard_old": pa.array(old),

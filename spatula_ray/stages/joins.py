@@ -252,7 +252,8 @@ def asof_join(left, right, by: str, left_on: str, right_on: str,
     left row, attach the right row with the greatest ``right_on`` value
     satisfying ``right_on <= left_on`` within the same ``by`` key (``how``:
     "left" keeps unmatched left rows with typed nulls, "inner" drops
-    them). Mirrors DuckDB's ``ASOF [LEFT] JOIN`` (inclusive bound); when several right rows share
+    them). Mirrors DuckDB's ``ASOF [LEFT] JOIN`` (inclusive bound; a null
+    ``by`` key matches nothing); when several right rows share
     the boundary (by, right_on) the one latest in (right_on, row order
     after the stable sort) wins — with unique (by, right_on) pairs, which
     the events fixtures guarantee, the match is unambiguous.
@@ -287,7 +288,11 @@ def asof_join(left, right, by: str, left_on: str, right_on: str,
 
     def prep(side: int):
         def fn(t: pa.Table) -> pa.Table:
+            import pyarrow.compute as pc
+
             t = t.replace_schema_metadata(None)
+            if side == 0:     # a right row with a null key is never chosen
+                t = t.filter(pc.is_valid(t[by]))
             t = t.append_column("__side", pa.array([side] * t.num_rows,
                                                    type=pa.int8()))
             on_src = left_on if side == 1 else right_on
@@ -322,9 +327,11 @@ def asof_join(left, right, by: str, left_on: str, right_on: str,
         lrows = g.loc[is_left, [c for c in lnames]].reset_index(drop=True)
         for c in lnames:   # undo the union-null float upcast on left ints
             if pa.types.is_integer(types[c]) and lrows[c].dtype.kind == "f":
-                lrows[c] = lrows[c].to_numpy().astype("int64")
+                lrows[c] = lrows[c].astype("Int64")
         src = ridx[is_left]
-        matched = src >= 0
+        # a null-key left row (group -1) would inherit the running max of
+        # the group sorted before it
+        matched = (src >= 0) & (gid[is_left] >= 0)
         # the union carries typed nulls on the opposite side, so pandas
         # upcasts int columns to float64 inside the group frame — cast
         # back from the authoritative Arrow types on the way out
@@ -379,7 +386,8 @@ def range_join(left, right, left_on: str, right_on: str,
     """Interval (range) join — an operator Ray Data lacks: inner-join
     every left row to the right rows whose ``right_on`` falls inside
     ``[left_on + lo, left_on + hi]`` (both bounds inclusive), optionally
-    within the same ``by`` key. On-columns must be integer-orderable
+    within the same ``by`` key. A null key or on-value matches nothing,
+    as in SQL. On-columns must be integer-orderable
     (ints, or timestamps which are cast to int64 microseconds); ``lo`` /
     ``hi`` are offsets in those units. Mirrors the reference join shapes
     the way :func:`asof_join` does (cf. reference ``pages.py`` dependency
@@ -435,12 +443,16 @@ def range_join(left, right, left_on: str, right_on: str,
 
     def prep(side: int, renames: dict, on_src: str):
         def fn(t: pa.Table) -> pa.Table:
-            import pyarrow.compute as pc  # noqa: F401
+            import pyarrow.compute as pc
 
             t = t.replace_schema_metadata(None)
             if renames:
                 t = t.rename_columns(
                     [renames.get(c, c) for c in t.schema.names])
+            live = pc.is_valid(t[renames.get(on_src, on_src)])
+            if by is not None:
+                live = pc.and_(live, pc.is_valid(t[renames.get(by, by)]))
+            t = t.filter(live)
             on_i = _on_int(t, renames.get(on_src, on_src))
             if by is not None:
                 key = t[renames.get(by, by)].cast(types[by])

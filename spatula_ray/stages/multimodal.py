@@ -200,13 +200,11 @@ def make_fake_media(media_ref: str, kind: str = "image") -> bytes:
 def _hash_proj(n_in: int, n_out: int) -> np.ndarray:
     """Hash-derived projection matrix, reproducible in SQL:
     proj[i][j] = ((md5_number_lower(f"{i}_{j}_proj") % 2001) - 1000)/1000."""
-    w = np.empty((n_in, n_out), dtype=np.float64)
-    for i in range(n_in):
-        for j in range(n_out):
-            v = int.from_bytes(
-                hashlib.md5(f"{i}_{j}_proj".encode()).digest()[8:], "little")
-            w[i, j] = ((v % 2001) - 1000) / 1000.0
-    return w
+    from .sketch import md5_number_lower
+
+    v = md5_number_lower([f"{i}_{j}_proj" for i in range(n_in)
+                          for j in range(n_out)]).reshape(n_in, n_out)
+    return ((v % np.uint64(2001)).astype(np.float64) - 1000) / 1000.0
 
 
 class DecodeStub:

@@ -205,15 +205,11 @@ class HashSignLSH:
     Q_SCALE = 1000
 
     def __init__(self, dim: int, n_planes: int = 8):
-        import hashlib
+        from .sketch import md5_number_lower
 
-        w = np.empty((n_planes, dim), dtype=np.int64)
-        for p in range(n_planes):
-            for d in range(dim):
-                h = int.from_bytes(
-                    hashlib.md5(f"{p}_{d}".encode()).digest()[8:], "little")
-                w[p, d] = 1 if h % 2 == 1 else -1
-        self.planes = w
+        h = md5_number_lower([f"{p}_{d}" for p in range(n_planes)
+                              for d in range(dim)]).reshape(n_planes, dim)
+        self.planes = np.where(h & np.uint64(1), 1, -1).astype(np.int64)
         self.n_planes = n_planes
 
     def bucket_of(self, vecs: np.ndarray) -> np.ndarray:
@@ -789,16 +785,12 @@ class _JLProject:
 
     def _signs(self, dim: int) -> np.ndarray:
         if self._s is None:
-            import hashlib
+            from .sketch import md5_number_lower
 
-            s = np.empty((dim, self.out_dim), dtype=np.int64)
-            for d in range(dim):
-                for j in range(self.out_dim):
-                    b = int.from_bytes(hashlib.md5(
-                        ("jl-%d-%d" % (d, j)).encode()).digest()[8:],
-                        "little")
-                    s[d, j] = 1 if b & 1 else -1
-            self._s = s
+            b = md5_number_lower(["jl-%d-%d" % (d, j) for d in range(dim)
+                                  for j in range(self.out_dim)]) \
+                .reshape(dim, self.out_dim)
+            self._s = np.where(b & np.uint64(1), 1, -1).astype(np.int64)
         return self._s
 
     def __call__(self, t: pa.Table) -> pa.Table:

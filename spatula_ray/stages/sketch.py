@@ -39,16 +39,11 @@ _W_BITS = 64 - _P            # 52
 _W_MASK = (1 << _W_BITS) - 1
 
 
-def _hash64(items: List[str], oracle_parity: bool = False) -> np.ndarray:
-    """Item hash for the sketch. Default: ``pd.util.hash_array`` (fixed
-    siphash key — deterministic, C-vectorized; round-3 verdict fix #4
-    made this the production path). ``oracle_parity=True``: md5
-    low-8-bytes little-endian == DuckDB ``md5_number_lower``, the
-    bit-reproducible-in-SQL variant the gate queries use."""
-    if not oracle_parity:
-        import pandas as pd
-
-        return pd.util.hash_array(np.asarray(items, dtype=object))
+def md5_number_lower(items) -> np.ndarray:
+    """DuckDB's ``md5_number_lower`` of each string as a uint64 array: the
+    low 8 bytes of its UTF-8 md5, read little-endian. Every hash whose
+    bits reach an output goes through here, so a SQL oracle reproduces
+    it exactly."""
     return np.fromiter(
         (int.from_bytes(hashlib.md5(s.encode()).digest()[8:], "little")
          for s in items), dtype=np.uint64, count=len(items))
@@ -66,12 +61,12 @@ def _rho_of(w: np.ndarray) -> np.ndarray:
     return rho
 
 
-def register_batch(items: List[str], oracle_parity: bool = False) -> pa.Table:
+def register_batch(items: List[str]) -> pa.Table:
     """Partial HLL registers for one batch: ≤ m (bucket, rho-max) rows."""
     if not items:
         return pa.table({"b": pa.array([], type=pa.int64()),
                          "r": pa.array([], type=pa.int64())})
-    h = _hash64(items, oracle_parity)
+    h = md5_number_lower(items)
     b = (h >> np.uint64(_W_BITS)).astype(np.int64)
     rho = _rho_of((h & np.uint64(_W_MASK)).astype(np.int64))
     reg = np.zeros(_M, dtype=np.int64)
@@ -92,8 +87,7 @@ def estimate(reg: np.ndarray) -> float:
     return float(np.floor(est * 1e4 + 0.5) / 1e4)
 
 
-def hll_distinct(ds, extract: Callable[[pa.Table], List[str]],
-                 oracle_parity: bool = False) -> pa.Table:
+def hll_distinct(ds, extract: Callable[[pa.Table], List[str]]) -> pa.Table:
     """Approximate distinct count of ``extract(batch)`` items across the
     dataset. The per-batch partial registers are reduced DISTRIBUTIVELY
     (a grouped max of ``r`` per ``b`` — at most m=4096 rows reach the
@@ -103,7 +97,7 @@ def hll_distinct(ds, extract: Callable[[pa.Table], List[str]],
     from .joins import group_aggregate
 
     def fn(t: pa.Table) -> pa.Table:
-        return register_batch(extract(t), oracle_parity)
+        return register_batch(extract(t))
 
     folded = group_aggregate(ds.map_batches(fn, batch_format="pyarrow"),
                              "b", {"r": ("r", "max")})
@@ -132,8 +126,7 @@ def shingle_extractor(text_col: str = "text", k: int = 3):
 
 
 def hll_distinct_by(ds, key_col: str,
-                    extract: Callable[[pa.Table], List[str]],
-                    oracle_parity: bool = False) -> "object":
+                    extract: Callable[[pa.Table], List[str]]) -> "object":
     """Grouped HLL: approximate distinct ``extract`` items PER KEY.
     Returns a Dataset of ``(key, m, v_zero, est)`` rows.
 
@@ -159,7 +152,7 @@ def hll_distinct_by(ds, key_col: str,
         out_k, out_b, out_r = [], [], []
         for k, idxs in per_key.items():
             sub = t.take(pa.array(idxs, type=pa.int64()))
-            part = register_batch(extract(sub), oracle_parity)
+            part = register_batch(extract(sub))
             nb = part.num_rows
             out_k.extend([k] * nb)
             out_b.extend(part["b"].to_pylist())
@@ -195,32 +188,16 @@ _CMS_W = 8192                 # buckets per row
 _CMS_D = 4                    # hash rows
 
 
-def _cms_bucket(terms, j: int, oracle_parity: bool = False,
-                width: int = _CMS_W) -> np.ndarray:
-    """Bucket index of each term under hash row ``j``: low 8 bytes of
-    md5(term + '#' + j) mod width (== DuckDB
-    ``md5_number_lower(term || '#' || j) % width``) in parity mode, a
-    salted ``pd.util.hash_array`` otherwise."""
-    if not oracle_parity:
-        import pandas as pd
-
-        salted = np.char.add(np.asarray(terms, dtype=str), f"#{j}")
-        return (pd.util.hash_array(salted.astype(object))
-                % np.uint64(width)).astype(np.int64)
-    sj = f"#{j}".encode()
-    return np.fromiter(
-        (int.from_bytes(hashlib.md5(t.encode() + sj).digest()[8:], "little")
-         % width for t in terms), dtype=np.int64, count=len(terms))
-
-
-# shared by the Bloom-filter stages (curate.bloom_decontaminate): the same
-# salted md5 / hash_array bucket family
-salted_bucket = _cms_bucket
+def _cms_bucket(terms, j: int, width: int = _CMS_W) -> np.ndarray:
+    """Bucket index of each term under hash row ``j``: DuckDB's
+    ``md5_number_lower(term || '#' || j) % width``. The Bloom-filter and
+    DSIR stages of ``curate`` use the same salted family."""
+    h = md5_number_lower([f"{t}#{j}" for t in terms])
+    return (h % np.uint64(width)).astype(np.int64)
 
 
 def cms_heavy_hitters(ds, extract: Callable[[pa.Table], List[str]], k: int = 50,
-                      width: int = _CMS_W, depth: int = _CMS_D,
-                      oracle_parity: bool = False) -> pa.Table:
+                      width: int = _CMS_W, depth: int = _CMS_D) -> pa.Table:
     """Top-k most frequent items by count-min-sketch estimate.
 
     The 100 TB shape: exact global term counts need a vocab-wide shuffle
@@ -249,7 +226,7 @@ def cms_heavy_hitters(ds, extract: Callable[[pa.Table], List[str]], k: int = 50,
                                  return_counts=True)
         acc = np.zeros(depth * width, dtype=np.int64)
         for j in range(depth):
-            b = _cms_bucket(uniq, j, oracle_parity, width)
+            b = _cms_bucket(uniq, j, width)
             np.add.at(acc, j * width + b, counts)
         nz = np.nonzero(acc)[0]
         return pa.table({"jb": pa.array(nz, type=pa.int64()),
@@ -281,7 +258,7 @@ def cms_heavy_hitters(ds, extract: Callable[[pa.Table], List[str]], k: int = 50,
                              "est": pa.array([], type=pa.int64())})
         est = np.full(len(terms), np.iinfo(np.int64).max, dtype=np.int64)
         for j in range(depth):
-            b = _cms_bucket(terms, j, oracle_parity, width)
+            b = _cms_bucket(terms, j, width)
             np.minimum(est, cnt[j * width + b], out=est)
         # local top-k candidates only (global winners must win locally)
         order = np.lexsort((terms, -est))[:k]

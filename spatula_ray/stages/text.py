@@ -652,26 +652,22 @@ class HashedLinearScore:
     so the DuckDB oracle reproduces scores exactly), scoring is one
     vectorized pass per batch — flatten all docs' tokens into one array,
     hash, gather weights, ``bincount`` segment-sum back per doc. Exact
-    int64 arithmetic end-to-end, no shuffle, no per-token Python on the
-    default path.
+    int64 arithmetic end-to-end, no shuffle.
 
-    Token hash: ``pd.util.hash_array`` by default (C-vectorized);
-    ``oracle_parity=True`` uses md5 low-8-bytes little-endian ==
-    DuckDB ``md5_number_lower`` (the ``sketch._hash64`` convention) so
-    the gate query is bit-reproducible in SQL.
+    Token hash: :func:`sketch.md5_number_lower`, so the gate query is
+    bit-reproducible in SQL.
 
     Emits ``(doc_id, n_tokens, score_micro, keep)``.
     """
 
-    def __init__(self, n_bins: int = 256, oracle_parity: bool = False):
+    def __init__(self, n_bins: int = 256):
         self.n_bins = n_bins
-        self.oracle_parity = oracle_parity
         b = np.arange(n_bins, dtype=np.uint64)
         self.weights = ((b * np.uint64(2654435761)) % np.uint64(1001)) \
             .astype(np.int64) - 500
 
     def __call__(self, t: pa.Table) -> pa.Table:
-        from .sketch import _hash64
+        from .sketch import md5_number_lower
 
         texts = [s if s is not None else "" for s in t["text"].to_pylist()]
         n_docs = len(texts)
@@ -682,7 +678,7 @@ class HashedLinearScore:
         flat = [w for ws in per_doc for w in ws]
 
         if flat:
-            bins = (_hash64(flat, self.oracle_parity)
+            bins = (md5_number_lower(flat)
                     % np.uint64(self.n_bins)).astype(np.int64)
             score = np.bincount(idx, weights=self.weights[bins],
                                 minlength=n_docs).astype(np.int64)
@@ -697,14 +693,11 @@ class HashedLinearScore:
         })
 
 
-def hashed_linear_score(docs, n_bins: int = 256,
-                        oracle_parity: bool = False,
-                        batch_size: int = 256):
+def hashed_linear_score(docs, n_bins: int = 256, batch_size: int = 256):
     """Task-stage wrapper for :class:`HashedLinearScore` (weights built
     once per task)."""
     return docs.map_batches(
-        per_task(HashedLinearScore, n_bins=n_bins,
-                 oracle_parity=oracle_parity),
+        per_task(HashedLinearScore, n_bins=n_bins),
         batch_size=batch_size, batch_format="pyarrow")
 
 

@@ -26,7 +26,8 @@ SF = "/root/testdata/sf0.01"
 QUERIES = ["text_stats", "minhash_dup_pairs", "ann_topk", "lsh_ann_topk",
            "hashed_linear_score", "doc_pagerank", "host_rank_weighted",
            "doc_hits", "hyperball_reach", "resolve_redirects",
-           "exact_dedup", "dedup_paragraphs"]
+           "exact_dedup", "dedup_paragraphs", "simhash_dup_pairs",
+           "heavy_hitters", "distinct_shingles_hll", "dust_rules"]
 TIMEOUT_S = 240
 
 

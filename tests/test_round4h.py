@@ -81,7 +81,7 @@ def test_hashed_linear_score_edges():
         "doc_id": pa.array(range(len(texts)), type=pa.int64()),
         "text": pa.array(texts, type=pa.string()),
     })
-    out = hashed_linear_score(_ds(tbl), oracle_parity=True) \
+    out = hashed_linear_score(_ds(tbl)) \
         .to_pandas().set_index("doc_id").sort_index()
 
     assert out.loc[0, "n_tokens"] == 3
@@ -91,21 +91,19 @@ def test_hashed_linear_score_edges():
     assert out.loc[3, "n_tokens"] == 0
 
     # bag semantics: doc 0 = w(alpha) + 2*w(beta); doc 4 = w(alpha)
-    scorer = HashedLinearScore(oracle_parity=True)
+    scorer = HashedLinearScore()
     one = scorer(pa.table({"doc_id": pa.array([0], type=pa.int64()),
                            "text": pa.array(["beta"])}))
     w_beta = one["score_micro"][0].as_py()
     assert (out.loc[0, "score_micro"]
             == out.loc[4, "score_micro"] + 2 * w_beta)
 
-    # the default (fast-hash) path is a valid classifier too: same
-    # shape, exact int64, deterministic across runs
-    fast1 = scorer_out = hashed_linear_score(_ds(tbl)) \
+    # deterministic across runs, exact int64
+    again = hashed_linear_score(_ds(tbl)) \
         .to_pandas().set_index("doc_id").sort_index()
-    fast2 = hashed_linear_score(_ds(tbl)) \
-        .to_pandas().set_index("doc_id").sort_index()
-    assert (fast1["score_micro"] == fast2["score_micro"]).all()
-    assert (fast1["n_tokens"] == out["n_tokens"]).all()
+    assert (again["score_micro"] == out["score_micro"]).all()
+    assert (again["n_tokens"] == out["n_tokens"]).all()
+    assert out["score_micro"].dtype == np.int64
 
 
 @pytest.mark.usefixtures("ray_session")

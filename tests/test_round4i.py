@@ -4,6 +4,7 @@ link-graph compression — edge cases the sf-corpus gate rows don't reach
 URL dropping, repeated links from one page vs many pages)."""
 
 import pyarrow as pa
+import pytest
 
 
 def _ds(tbl: pa.Table, blocks: int = 1):
@@ -567,6 +568,9 @@ def test_rendezvous_move_fraction_and_stability():
     assert 0.04 < frac < 0.20
     assert out["shard_old"].between(0, 7).all()
     assert out["shard_new"].between(0, 8).all()
+    # more old shards than new ones is no resize
+    with pytest.raises(ValueError):
+        rendezvous_shards(_ds(t, blocks=3), n_old=9, n_new=8)
 
 
 def test_colink_similarity_sets():

@@ -193,6 +193,32 @@ def test_asof_join_semantics():
     assert sorted(inner["event_id"]) == [101, 102]
     assert inner["click_event_id"].dtype == np.int64   # non-nullable path
 
+    # a null key matches nothing, as in DuckDB's ASOF JOIN; key 0 shares
+    # the null key's exchange bucket
+    import duckdb
+
+    lt = pa.table({
+        "event_id": pa.array([1, 2, 3, 4], type=pa.int64()),
+        "k": pa.array([7, None, 0, None], type=pa.int64()),
+        "t": pa.array([10, 10, 10, 1], type=pa.int64())})
+    rt = pa.table({
+        "rid": pa.array([100, 300, 301, 200], type=pa.int64()),
+        "k": pa.array([7, None, None, 0], type=pa.int64()),
+        "rt": pa.array([5, 5, 0, 2], type=pa.int64())})
+    for how, sql_how in [("left", "LEFT"), ("inner", "")]:
+        got = asof_join(rd.from_arrow(lt).repartition(2),
+                        rd.from_arrow(rt).repartition(3), by="k",
+                        left_on="t", right_on="rt", how=how).to_pandas()
+        want = duckdb.sql(
+            f"SELECT lt.*, rt.rt, rt.rid FROM lt ASOF {sql_how} JOIN rt "
+            "ON lt.k = rt.k AND lt.t >= rt.rt").df()
+        cols = ["event_id", "k", "t", "rt", "rid"]
+        g = got[cols].sort_values("event_id").reset_index(drop=True)
+        w = want[cols].sort_values("event_id").reset_index(drop=True)
+        assert g.isna().equals(w.isna()), (how, g, w)
+        assert g.fillna(-1).astype(np.int64).equals(
+            w.fillna(-1).astype(np.int64)), (how, g, w)
+
 
 @pytest.mark.usefixtures("ray_session")
 def test_hash_bucket_anti_join():
@@ -551,6 +577,26 @@ def test_range_join_keyed_vs_bruteforce():
         got_s.drop(columns=["k_r"]), want_s, check_dtype=True)
     assert (got_s["k"] == got_s["k_r"]).all()
 
+    # null keys and null times match nothing, as in DuckDB; key 0 shares
+    # the null key's exchange bucket
+    import duckdb
+
+    lt = pa.table({"lid": pa.array([1, 2, 3, 4], type=pa.int64()),
+                   "k": pa.array([7, None, 0, 7], type=pa.int64()),
+                   "t": pa.array([10, 10, 10, None], type=pa.int64())})
+    rt = pa.table({"rid": pa.array([100, 300, 301, 200, 101],
+                                   type=pa.int64()),
+                   "k": pa.array([7, None, None, 0, 7], type=pa.int64()),
+                   "t": pa.array([12, 12, 15, 11, None], type=pa.int64())})
+    got = range_join(rd.from_arrow(lt).repartition(2),
+                     rd.from_arrow(rt).repartition(3), left_on="t",
+                     right_on="t", lo=lo, hi=hi, by="k").to_pandas()
+    want = duckdb.sql(
+        "SELECT lt.lid, rt.rid FROM lt JOIN rt ON lt.k = rt.k "
+        f"AND rt.t BETWEEN lt.t + {lo} AND lt.t + {hi}").df()
+    assert sorted(zip(got["lid"], got["rid"])) \
+        == sorted(zip(want["lid"], want["rid"])) == [(1, 100), (3, 200)]
+
 
 @pytest.mark.usefixtures("ray_session")
 def test_range_join_keyless_bins_and_bounds():
@@ -679,7 +725,8 @@ def test_pagerank_overflow_guard():
 def test_hll_distinct_accuracy_and_determinism():
     import ray.data as rd
 
-    from spatula_ray.stages.sketch import (_hash64, _rho_of, hll_distinct,
+    from spatula_ray.stages.sketch import (_cms_bucket, _rho_of,
+                                           hll_distinct, md5_number_lower,
                                            shingle_extractor)
 
     # rho agrees with a bit-twiddling reference on the full edge set
@@ -687,12 +734,23 @@ def test_hll_distinct_accuracy_and_determinism():
                  dtype=np.int64)
     ref = [53 if x == 0 else 52 - (int(x).bit_length() - 1) for x in w]
     assert _rho_of(w).tolist() == ref
-    # hash matches DuckDB md5_number_lower
+    # the one hash matches DuckDB md5_number_lower: plain, salted
+    # term#j (the count-min / Bloom / DSIR form), non-ASCII, empty and
+    # the projection-matrix keys
     import duckdb
-    got = _hash64(["alpha", "beta gamma", ""], oracle_parity=True).tolist()
-    want = [duckdb.sql(f"select md5_number_lower('{s}')").fetchone()[0]
-            for s in ["alpha", "beta gamma", ""]]
-    assert got == [int(x) for x in want]
+    items = ["alpha", "beta gamma", "", "alpha#0", "beta gamma#3", "#1",
+             "héllo wörld", "日本語", "emoji 🙂", "0_0_proj", "15_7_proj",
+             "jl-3-12", "https://h01.test/p/1?a=1#8"]
+    got = md5_number_lower(items)
+    assert got.dtype == np.uint64
+    want = [duckdb.execute("SELECT md5_number_lower(?)", [s]).fetchone()[0]
+            for s in items]
+    assert got.tolist() == [int(x) for x in want]
+    terms = np.asarray(["alpha", "héllo wörld", ""], dtype=str)
+    for j in range(3):
+        want = [duckdb.execute("SELECT md5_number_lower(? || '#' || ?) % 97",
+                               [t, str(j)]).fetchone()[0] for t in terms]
+        assert _cms_bucket(terms, j, 97).tolist() == [int(x) for x in want]
 
     # accuracy: ~16k distinct shingles, expect within 5% (sigma ~1.6%)
     texts = [" ".join(f"w{(37 * i + j) % 4001}" for j in range(40))
@@ -784,15 +842,14 @@ def test_cms_heavy_hitters_overestimates_never_under():
             out.extend(txt.split(" "))
         return out
 
-    for parity in (False, True):
-        top = cms_heavy_hitters(ds, tokens, k=10, oracle_parity=parity)
-        d = dict(zip(top["term"].to_pylist(), top["est"].to_pylist()))
-        assert d.get("hot", 0) >= 400
-        assert d.get("warm", 0) >= 120
-        assert top["term"][0].as_py() == "hot"
-        # deterministic
-        again = cms_heavy_hitters(ds, tokens, k=10, oracle_parity=parity)
-        assert top.equals(again)
+    top = cms_heavy_hitters(ds, tokens, k=10)
+    d = dict(zip(top["term"].to_pylist(), top["est"].to_pylist()))
+    assert d.get("hot", 0) >= 400
+    assert d.get("warm", 0) >= 120
+    assert top["term"][0].as_py() == "hot"
+    # deterministic
+    again = cms_heavy_hitters(ds, tokens, k=10)
+    assert top.equals(again)
 
 
 @pytest.mark.usefixtures("ray_session")
